@@ -24,14 +24,15 @@ from .gauss_projection import (PlanarPentagon, chord_alphas, chord_betas,
                                gauss_theorem_residuals, pentagon_from_frame,
                                recover_from_pm1, recover_from_pm2)
 from .napier_uniformization import (PentagonFrame, alpha_sequence, beta_sequence,
-                                    frame_vectors, k_of_omega, omega_of_k)
+                                    frame_vectors, omega_of_k)
 from .pentagram_algebra import (GOLDEN, AlphaCycle, NapierParts, SpherePentagon,
                                 alphas_from_sides, build_sphere_vertices,
                                 complete_from_two, gauss_reflect, napier_rotate,
                                 pentagon_parts, pentagram_invariants,
                                 sides_from_alphas, verify_napier)
 from .poncelet import (PonceletTrajectory, TwoCircleConfig, chord_step,
-                       closure_residual, modulus_of_config,
-                       search_closing_config, trajectory, validate_config)
+                       closure_residual, modulus_of_config, modulus_residual,
+                       porism_residual, search_closing_config, trajectory,
+                       validate_config)
 
 __version__ = "0.1.0"

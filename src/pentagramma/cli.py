@@ -14,7 +14,7 @@ import io
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -22,18 +22,18 @@ from . import verify
 from .cone_spectrum import (OMEGA_CRITICAL, characteristic_matrix, cone_coefficients,
                             modulus_from_spectrum, solve_characteristic)
 from .elliptic_kernel import complete_K, incomplete_F, jacobi_triple
-from .errors import (ChordDegenerateError, DegenerateError, DomainError,
-                     GeometryError, InvariantError, NearPoleError, NoSolutionError,
-                     NoTangentError, OffEllipseError, SingularError,
+from .errors import (DomainError, GeometryError, NoSolutionError, PentagrammaError,
                      SubcriticalError)
 from .gauss_projection import pentagon_from_frame
 from .napier_uniformization import (alpha_sequence, beta_sequence, frame_vectors,
-                                    k_of_omega, omega_of_k)
+                                    omega_of_k)
+from .oracles import invert_omega_of_k
 from .pentagram_algebra import (build_sphere_vertices, complete_from_two,
                                 orthogonality_residuals, pentagram_invariants)
 from .dilogarithm import pentagon_five_term
 from .poncelet import (TwoCircleConfig, closure_residual, modulus_of_config,
-                       search_closing_config, trajectory, validate_config)
+                       modulus_residual, porism_residual, search_closing_config,
+                       trajectory)
 from .verify import Check
 
 _NEAR_CRITICAL_WARN = 1e-4
@@ -134,10 +134,6 @@ def report_text(report: RunReport) -> str:
     return "\n".join(lines)
 
 
-def _emit(report: RunReport, as_json: bool, out) -> None:
-    out.write(report_json(report) + "\n" if as_json else report_text(report) + "\n")
-
-
 # ---------------------------------------------------------------- drawings
 
 def _svg_document(body: list[str], half_extent: float, size: int = 480) -> str:
@@ -192,13 +188,10 @@ def _tol_override(args) -> float | None:
 
 
 def _apply_override(checks: list[Check], override: float | None) -> list[Check]:
-    if override is None:
-        return checks
-    return [Check(name=c.name, residual=c.residual, tol=override, detail=c.detail)
-            for c in checks]
+    return checks if override is None else [replace(c, tol=override) for c in checks]
 
 
-def cmd_pentagram(args, out) -> int:
+def cmd_pentagram(args, out) -> RunReport:
     cycle = complete_from_two(args.alpha, args.gamma)
     total, prod, augmented = pentagram_invariants(cycle)
     quadric = cone_coefficients(args.alpha, args.gamma)
@@ -230,9 +223,7 @@ def cmd_pentagram(args, out) -> int:
         report.warnings.append(
             f"omega is within {_NEAR_CRITICAL_WARN} of the regular value; "
             f"modulus k = {k:.6g} is near 0")
-    report.checks = _apply_override(report.checks, _tol_override(args))
-    _emit(report, args.json, out)
-    return 0 if report.passed else _EXIT_CHECK_FAIL
+    return report
 
 
 def _napier_row(k: float, u: float):
@@ -246,7 +237,8 @@ def _napier_row(k: float, u: float):
     return frame, cycle, betas, law, five, consistency
 
 
-def cmd_napier(args, out) -> int:
+def cmd_napier(args, out) -> RunReport | None:
+    """The report of one frame, or None once the --grid CSV is written."""
     if args.grid:
         rng = np.random.default_rng(args.seed)
         rows = []
@@ -269,7 +261,7 @@ def cmd_napier(args, out) -> int:
             out.write(f"wrote {len(rows)} rows to {args.csv}\n")
         else:
             out.write(content)
-        return 0
+        return None
 
     frame, cycle, betas, law, five, consistency = _napier_row(args.k, args.u)
     report = RunReport(
@@ -289,21 +281,14 @@ def cmd_napier(args, out) -> int:
     if args.svg:
         _write_file(args.svg, pentagon_svg(pentagon_from_frame(frame)))
         report.outputs["svg"] = args.svg
-    report.checks = _apply_override(report.checks, _tol_override(args))
-    _emit(report, args.json, out)
-    return 0 if report.passed else _EXIT_CHECK_FAIL
+    return report
 
 
-def cmd_bridge(args, out) -> int:
-    if args.omega is not None:
-        omega = args.omega
-        spectral = solve_characteristic(omega)
-        k, cnw, dnw = modulus_from_spectrum(spectral)
-    else:
-        k = args.k
-        omega = omega_of_k(k)
-        spectral = solve_characteristic(omega)
-        _, cnw, dnw = modulus_from_spectrum(spectral)
+def cmd_bridge(args, out) -> RunReport:
+    omega = args.omega if args.omega is not None else omega_of_k(args.k)
+    spectral = solve_characteristic(omega)
+    k_spectral, cnw, dnw = modulus_from_spectrum(spectral)
+    k = k_spectral if args.omega is not None else args.k
     quarter = complete_K(k)
     lattice = jacobi_triple(0.4 * quarter, k)
     report = RunReport(
@@ -324,20 +309,17 @@ def cmd_bridge(args, out) -> int:
         report.checks.append(Check("omega_roundtrip",
                                    abs(omega_of_k(k) - omega) / max(1.0, omega), 1e-9))
     if args.omega is None:
-        report.checks.append(Check("k_roundtrip", abs(k_of_omega(omega) - k), 1e-9))
-    report.checks = _apply_override(report.checks, _tol_override(args))
-    _emit(report, args.json, out)
-    return 0 if report.passed else _EXIT_CHECK_FAIL
+        report.checks.append(Check("k_roundtrip",
+                                   abs(invert_omega_of_k(omega) - k), 1e-9))
+    return report
 
 
-def cmd_poncelet(args, out) -> int:
+def cmd_poncelet(args, out) -> RunReport:
     if args.solve:
         n, m = args.solve
         config = search_closing_config(n, m, args.R, args.r)
         rng = np.random.default_rng(args.seed)
-        porism = max(
-            abs(trajectory(config, float(p0), n).phis[-1] - p0 - m * math.pi)
-            for p0 in rng.uniform(0.0, 2.0 * math.pi, size=5))
+        porism = porism_residual(config, n, m, rng.uniform(0.0, 2.0 * math.pi, size=5))
         k, alpha = modulus_of_config(config)
         report = RunReport(
             command="poncelet",
@@ -349,7 +331,6 @@ def cmd_poncelet(args, out) -> int:
         report.checks.append(Check("porism_closure", porism, 1e-8))
     else:
         config = TwoCircleConfig(R=args.R, r=args.r, a=args.a)
-        validate_config(config)
         k, alpha = modulus_of_config(config)
         step = incomplete_F(alpha, k)
         full = incomplete_F(math.pi, k)
@@ -365,9 +346,8 @@ def cmd_poncelet(args, out) -> int:
                      "turn_fraction": step / full,
                      "closure_residuals": candidates},
         )
-        report.checks.append(Check("modulus_consistency", abs(
-            math.sqrt(1.0 - (k * math.sin(alpha)) ** 2)
-            - (config.R - config.a) / (config.R + config.a)), 1e-12))
+        report.checks.append(Check("modulus_consistency",
+                                   modulus_residual(config, k, alpha), 1e-12))
 
     if args.svg or args.csv:
         walk = trajectory(config, args.phi0, args.steps)
@@ -382,27 +362,21 @@ def cmd_poncelet(args, out) -> int:
                 writer.writerow([i, format(float(phi), ".17g")])
             _write_file(args.csv, buffer.getvalue())
             report.outputs["csv"] = args.csv
-
-    report.checks = _apply_override(report.checks, _tol_override(args))
-    _emit(report, args.json, out)
-    return 0 if report.passed else _EXIT_CHECK_FAIL
+    return report
 
 
-def cmd_verify_all(args, out) -> int:
-    results = verify.run_all(seed=args.seed, tol_override=_tol_override(args))
+def cmd_verify_all(args, out) -> RunReport:
+    override = _tol_override(args)
     report = RunReport(command="verify-all",
                        inputs={"seed": args.seed,
-                               "tol": args.tol if args.tol is not None else "default"})
-    for number in sorted(results):
-        description, _ = verify.CRITERIA[number]
-        for check in results[number]:
-            report.checks.append(Check(name=f"{number:02d}.{check.name}",
-                                       residual=check.residual, tol=check.tol,
-                                       detail=check.detail))
+                               "tol": override if override is not None else "default"})
+    for number, checks in verify.run_all(seed=args.seed).items():
+        report.checks.extend(replace(c, name=f"{number:02d}.{c.name}") for c in checks)
+        # main overrides the reported checks; each status judges the same tolerances
+        judged = _apply_override(checks, override)
         report.outputs[f"criterion_{number:02d}"] = (
-            "pass" if all(c.passed for c in results[number]) else "fail")
-    _emit(report, args.json, out)
-    return 0 if report.passed else _EXIT_CHECK_FAIL
+            "pass" if all(c.passed for c in judged) else "fail")
+    return report
 
 
 # ---------------------------------------------------------------- parser
@@ -474,7 +448,7 @@ def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args, out)
+        report = args.func(args, out)
     except (DomainError, GeometryError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return _EXIT_DOMAIN
@@ -484,11 +458,19 @@ def main(argv=None, out=None) -> int:
     except NoSolutionError as exc:
         print(f"search failed: {exc}", file=sys.stderr)
         return _EXIT_SEARCH
-    except (InvariantError, NearPoleError, ChordDegenerateError, DegenerateError,
-            NoTangentError, SingularError, OffEllipseError) as exc:
+    except PentagrammaError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return _EXIT_INVARIANT
+    if report is None:
+        return 0
+    report.checks = _apply_override(report.checks, _tol_override(args))
+    out.write((report_json(report) if args.json else report_text(report)) + "\n")
+    return 0 if report.passed else _EXIT_CHECK_FAIL
 
 
 def console_entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    console_entry()

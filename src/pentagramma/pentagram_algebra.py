@@ -201,15 +201,15 @@ def build_sphere_vertices(c: AlphaCycle, tol: float = GEOM_TOL) -> SpherePentago
             f"vertex orthogonality residual {worst:.3e} exceeds {tol:.1e}; "
             "the alpha cycle is not a pentagon")
 
+    # cone_spectrum imports this module at load time, so import it here
+    from .cone_spectrum import cone_coefficients
+
     # membership in the quadric cone z^2 + p xz + q yz + r xy = 0 built from
     # the first and third cycle entries
-    alpha, gamma = c.alphas[0], c.alphas[2]
-    cp = -math.sqrt(alpha)
-    cq = -math.sqrt(gamma)
-    cr = -(1.0 + alpha + gamma) / math.sqrt(alpha * gamma)
+    cone = cone_coefficients(c.alphas[0], c.alphas[2])
     for v in vertices:
         x, y, z = v
-        res = z * z + cp * x * z + cq * y * z + cr * x * y
+        res = z * z + cone.p * x * z + cone.q * y * z + cone.r * x * y
         if abs(res) > tol:
             raise InvariantError(f"cone membership residual {res:.3e} exceeds {tol:.1e}")
 

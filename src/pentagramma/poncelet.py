@@ -65,11 +65,17 @@ def modulus_of_config(c: TwoCircleConfig) -> tuple[float, float]:
         raise DomainError("modulus reached 1; circles are not strictly nested")
     k = math.sqrt(k2)
     alpha = math.acos(r / (R + a))
-    lhs = math.sqrt(1.0 - k2 * math.sin(alpha) ** 2)
-    rhs = (R - a) / (R + a)
-    if abs(lhs - rhs) > 1e-12:
-        raise InvariantError(f"modulus consistency broke: {lhs!r} vs {rhs!r}")
+    residual = modulus_residual(c, k, alpha)
+    if residual > 1e-12:
+        raise InvariantError(f"modulus consistency broke: residual {residual!r}")
     return k, alpha
+
+
+def modulus_residual(c: TwoCircleConfig, k: float, alpha: float) -> float:
+    """Worse of |sqrt(1 - k^2 sin^2 alpha) - (R-a)/(R+a)| and |cos(alpha) - r/(R+a)|."""
+    R, r, a = c.R, c.r, c.a
+    return max(abs(math.sqrt(1.0 - (k * math.sin(alpha)) ** 2) - (R - a) / (R + a)),
+               abs(math.cos(alpha) - r / (R + a)))
 
 
 def chord_step(c: TwoCircleConfig, phi: float, prev: float | None = None) -> float:
@@ -120,6 +126,12 @@ def trajectory(c: TwoCircleConfig, phi0: float, n: int) -> PonceletTrajectory:
         prev = phis[-1]
         phis.append(nxt)
     return PonceletTrajectory(phis=np.array(phis), config=c)
+
+
+def porism_residual(c: TwoCircleConfig, n: int, m: int, starts) -> float:
+    """Worst miss of n chords from each start angle against m full turns (m pi)."""
+    return max(abs(trajectory(c, float(p0), n).phis[-1] - p0 - m * math.pi)
+               for p0 in starts)
 
 
 def closure_residual(c: TwoCircleConfig, n: int, m: int) -> float:

@@ -2,21 +2,18 @@
 
 Each criterion function returns a list of Check records; a check passes when
 its residual is at or below its tolerance.  All randomness flows from one
-seed so a fixed seed reproduces the report byte for byte.  The quadrature
-oracle used against the elliptic kernel lives here and nowhere near the
-kernel itself.
+seed so a fixed seed reproduces the report byte for byte.  The independent
+second routes the checks compare against come from pentagramma.oracles.
 """
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from . import (cone_spectrum, dilogarithm, elliptic_kernel, gauss_projection,
-               napier_uniformization, pentagram_algebra, poncelet)
+               napier_uniformization, oracles, pentagram_algebra, poncelet)
 from .errors import NoSolutionError, PentagrammaError
 from .pentagram_algebra import GOLDEN
 
@@ -40,26 +37,9 @@ class Check:
         return self.residual <= self.tol
 
 
-@dataclass
-class _Collector:
-    override: float | None = None
-    checks: list[Check] = field(default_factory=list)
-
+class _Collector(list):
     def add(self, name: str, residual: float, tol: float, detail: str = "") -> None:
-        if self.override is not None:
-            tol = self.override
-        self.checks.append(Check(name=name, residual=float(residual), tol=tol,
-                                 detail=detail))
-
-
-def _quad_F(phi: float, k: float) -> float:
-    with warnings.catch_warnings():
-        # near k ~ 1 the integrand steepens and quad warns about roundoff
-        # while still delivering ~1e-15; the check tolerance absorbs that
-        warnings.simplefilter("ignore", IntegrationWarning)
-        value, _ = quad(lambda x: 1.0 / math.sqrt(1.0 - (k * math.sin(x)) ** 2),
-                        0.0, phi, epsabs=1e-13, epsrel=1e-13, limit=200)
-    return value
+        self.append(Check(name=name, residual=float(residual), tol=tol, detail=detail))
 
 
 def _grid_frames(rng, ks, per_k=20):
@@ -146,9 +126,9 @@ def criterion_4(col: _Collector, rng) -> None:
         k = rng.uniform(0.0, 0.95)
         u = rng.uniform(0.0, elliptic_kernel.complete_K(k))
         phi = elliptic_kernel.am(u, k)
-        worst_oracle = max(worst_oracle, abs(_quad_F(phi, k) - u))
-    worst_oracle = max(worst_oracle,
-                       abs(_quad_F(PI / 2, 0.8) - elliptic_kernel.complete_K(0.8)))
+        worst_oracle = max(worst_oracle, abs(oracles.quad_F(phi, k) - u))
+    worst_oracle = max(worst_oracle, abs(oracles.quad_F(PI / 2, 0.8)
+                                         - elliptic_kernel.complete_K(0.8)))
     col.add("kernel.quadrature_oracle", worst_oracle, 1e-11)
 
 
@@ -177,12 +157,11 @@ def criterion_6(col: _Collector, rng) -> None:
         s = cone_spectrum.solve_characteristic(omega)
         quarter = elliptic_kernel.complete_K(k)
         tri = elliptic_kernel.jacobi_triple(0.4 * quarter, k)
-        worst_cn = max(worst_cn, abs(tri.cn + s.Gp / s.G))
-        worst_dn = max(worst_dn, abs(tri.dn - s.Gp / s.Gpp))
-        worst_round = max(worst_round,
-                          abs(napier_uniformization.k_of_omega(omega) - k))
-        worst_formula = max(worst_formula,
-                            abs(cone_spectrum.modulus_from_spectrum(s)[0] - k))
+        k_spectral, cnw, dnw = cone_spectrum.modulus_from_spectrum(s)
+        worst_cn = max(worst_cn, abs(tri.cn - cnw))
+        worst_dn = max(worst_dn, abs(tri.dn - dnw))
+        worst_round = max(worst_round, abs(oracles.invert_omega_of_k(omega) - k))
+        worst_formula = max(worst_formula, abs(k_spectral - k))
     col.add("bridge.cn", worst_cn, 1e-9)
     col.add("bridge.dn", worst_dn, 1e-9)
     col.add("bridge.k_roundtrip", worst_round, 1e-9)
@@ -225,9 +204,7 @@ def criterion_8(col: _Collector, rng) -> None:
     try:
         config = poncelet.search_closing_config(5, 2, 1.0, 0.4)
         worst = abs(poncelet.closure_residual(config, 5, 2))
-        porism = max(
-            abs(poncelet.trajectory(config, float(p0), 5).phis[-1] - p0 - 2 * PI)
-            for p0 in rng.uniform(0.0, 2 * PI, size=5))
+        porism = poncelet.porism_residual(config, 5, 2, rng.uniform(0.0, 2 * PI, size=5))
         col.add("poncelet.search(5,2,R=1,r=0.4)", porism, 1e-8)
         col.add("poncelet.search_residual(5,2,R=1,r=0.4)", worst, 1e-12)
     except NoSolutionError as exc:
@@ -240,9 +217,8 @@ def criterion_8(col: _Collector, rng) -> None:
     config = poncelet.search_closing_config(5, 2, 1.0, 0.3)
     col.add("poncelet.search_residual(5,2,R=1,r=0.3)",
             abs(poncelet.closure_residual(config, 5, 2)), 1e-12)
-    col.add("poncelet.porism(5,2,R=1,r=0.3)", max(
-        abs(poncelet.trajectory(config, float(p0), 5).phis[-1] - p0 - 2 * PI)
-        for p0 in rng.uniform(0.0, 2 * PI, size=5)), 1e-8)
+    col.add("poncelet.porism(5,2,R=1,r=0.3)", poncelet.porism_residual(
+        config, 5, 2, rng.uniform(0.0, 2 * PI, size=5)), 1e-8)
 
     worst_shadow = worst_consistency = 0.0
     for cfg in (poncelet.TwoCircleConfig(1.0, 0.5, 0.2),
@@ -255,11 +231,8 @@ def criterion_8(col: _Collector, rng) -> None:
         u0 = elliptic_kernel.incomplete_F(phi0, k)
         shadow = np.array([elliptic_kernel.am(u0 + i * step, k) for i in range(51)])
         worst_shadow = max(worst_shadow, float(np.abs(walk.phis - shadow).max()))
-        worst_consistency = max(
-            worst_consistency,
-            abs(math.sqrt(1.0 - (k * math.sin(alpha)) ** 2)
-                - (cfg.R - cfg.a) / (cfg.R + cfg.a)),
-            abs(math.cos(alpha) - cfg.r / (cfg.R + cfg.a)))
+        worst_consistency = max(worst_consistency,
+                                poncelet.modulus_residual(cfg, k, alpha))
     col.add("poncelet.shadowing", worst_shadow, 1e-9)
     col.add("poncelet.modulus_consistency", worst_consistency, 1e-12)
 
@@ -285,30 +258,17 @@ def criterion_9(col: _Collector, rng) -> None:
     col.add("dilog.pentagon_sum", worst_sum, 1e-10)
 
 
-def _right_triangle_parts(a: float, b: float):
-    """Law-of-cosines oracle for a right spherical triangle with legs a, b."""
-    cos_c = math.cos(a) * math.cos(b)
-    c = math.acos(cos_c)
-    alpha = math.acos((math.cos(a) - math.cos(b) * cos_c)
-                      / (math.sin(b) * math.sin(c)))
-    beta = math.acos((math.cos(b) - math.cos(a) * cos_c)
-                     / (math.sin(a) * math.sin(c)))
-    half = PI / 2
-    return pentagram_algebra.NapierParts(
-        (a, b, half - alpha, half - c, half - beta))
-
-
 def criterion_10(col: _Collector, rng) -> None:
     """Napier rules on oracle triangles; exactness of the cyclic maps."""
     worst = 0.0
     for _ in range(100):
         legs = rng.uniform(0.2, 1.35, size=2)
-        parts = _right_triangle_parts(float(legs[0]), float(legs[1]))
+        parts, *_ = oracles.right_triangle(float(legs[0]), float(legs[1]))
         rule_one, rule_two = pentagram_algebra.verify_napier(parts)
         worst = max(worst, max(abs(r) for r in rule_one + rule_two))
     col.add("napier.rules", worst, 1e-11)
 
-    parts = _right_triangle_parts(0.7, 1.1)
+    parts, *_ = oracles.right_triangle(0.7, 1.1)
     rotated = parts
     for _ in range(5):
         rotated = pentagram_algebra.napier_rotate(rotated)
@@ -333,14 +293,12 @@ CRITERIA = {
 }
 
 
-def run_criterion(number: int, seed: int = 0,
-                  tol_override: float | None = None) -> list[Check]:
+def run_criterion(number: int, seed: int = 0) -> list[Check]:
     description, func = CRITERIA[number]
-    col = _Collector(override=tol_override)
+    col = _Collector()
     func(col, np.random.default_rng(seed + number))
-    return col.checks
+    return list(col)
 
 
-def run_all(seed: int = 0, tol_override: float | None = None) -> dict[int, list[Check]]:
-    return {number: run_criterion(number, seed=seed, tol_override=tol_override)
-            for number in sorted(CRITERIA)}
+def run_all(seed: int = 0) -> dict[int, list[Check]]:
+    return {number: run_criterion(number, seed=seed) for number in sorted(CRITERIA)}

@@ -18,9 +18,9 @@ import math
 import pytest
 
 from battery_outcomes import CRITERION_8_FAILING
-from oracles import rotation_number
 from pentagramma import verify
 from pentagramma.cli import main
+from pentagramma.oracles import rotation_number
 
 
 def _report(number, checks, capsys):

@@ -1,11 +1,16 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
+import pentagramma
 from battery_outcomes import CRITERION_8_FAILING
+from pentagramma import cli, errors
 from pentagramma.cli import main
 
 
@@ -13,6 +18,18 @@ def run_cli(argv):
     buffer = io.StringIO()
     code = main(argv, out=buffer)
     return code, buffer.getvalue()
+
+
+def failing_checks(doc):
+    return [name for name, rec in doc["residuals"].items()
+            if not isinstance(rec["value"], (int, float)) or rec["value"] > rec["tol"]]
+
+
+def assert_statuses_follow_checks(doc):
+    failing = {name[:2] for name in failing_checks(doc)}
+    for number in range(1, 11):
+        expected = "fail" if f"{number:02d}" in failing else "pass"
+        assert doc["outputs"][f"criterion_{number:02d}"] == expected, number
 
 
 class TestPentagram:
@@ -89,11 +106,18 @@ class TestNapier:
 
 class TestBridge:
     def test_from_omega(self):
-        code, output = run_cli(["bridge", "--omega", "20", "--json"])
+        argv = ["bridge", "--omega", "20", "--json"]
+        code, output = run_cli(argv)
         assert code == 0
         doc = json.loads(output)
         assert doc["status"] == "pass"
         assert doc["residuals"]["cn_bridge"]["value"] < 1e-9
+        # the same run as a module entry point
+        src = os.path.dirname(os.path.dirname(os.path.abspath(pentagramma.__file__)))
+        done = subprocess.run([sys.executable, "-m", "pentagramma.cli", *argv],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stdout) == (0, output), done.stderr
 
     def test_from_k(self):
         code, output = run_cli(["bridge", "--k", "0.3", "--json"])
@@ -159,23 +183,17 @@ class TestVerifyAll:
         code, output = run_cli(["verify-all", "--json"])
         assert code == 1
         doc = json.loads(output)
-        failing = [name for name, rec in doc["residuals"].items()
-                   if not isinstance(rec["value"], (int, float))
-                   or rec["value"] > rec["tol"]]
+        failing = failing_checks(doc)
         assert sorted(failing) == sorted(f"08.{name}" for name in CRITERION_8_FAILING)
         assert all(doc["residuals"][name]["value"] == "inf" for name in failing)
-        passing = [num for num in range(1, 11)
-                   if doc["outputs"][f"criterion_{num:02d}"] == "pass"]
-        assert passing == [1, 2, 3, 4, 5, 6, 7, 9, 10]
+        assert_statuses_follow_checks(doc)
 
     def test_unreachable_tolerance_fails(self):
         code, output = run_cli(["verify-all", "--tol", "1e-16", "--json"])
         assert code == 1
         doc = json.loads(output)
-        failing = [name for name, rec in doc["residuals"].items()
-                   if not isinstance(rec["value"], (int, float))
-                   or rec["value"] > rec["tol"]]
-        assert len(failing) > 10
+        assert len(failing_checks(doc)) > 10
+        assert_statuses_follow_checks(doc)
 
     def test_seeded_output_is_byte_identical(self):
         _, first = run_cli(["verify-all", "--seed", "7", "--json"])
@@ -187,6 +205,29 @@ class TestVerifyAll:
         code, output = run_cli(["bridge", "--omega", "20", "--json"])
         assert code == 1
         assert json.loads(output)["residuals"]["cn_bridge"]["tol"] == 1e-16
+        monkeypatch.setenv("PENTAGRAMMA_TOL", "1e-13")  # some criteria meet it, some miss
+        doc = json.loads(run_cli(["verify-all", "--json"])[1])
+        assert doc["inputs"]["tol"] == 1e-13
+        assert {rec["tol"] for rec in doc["residuals"].values()} == {1e-13}
+        assert_statuses_follow_checks(doc)
+        assert set(doc["outputs"].values()) == {"pass", "fail"}
+
+
+EXIT_CODES = {errors.DomainError: 2, errors.GeometryError: 2,
+              errors.SubcriticalError: 4, errors.NoSolutionError: 5}
+ERROR_CLASSES = [cls for cls in vars(errors).values()
+                 if isinstance(cls, type) and issubclass(cls, errors.PentagrammaError)]
+
+
+@pytest.mark.parametrize("error", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_exit_code_table(error, monkeypatch):
+    # README: 2 domain or geometry, 4 subcritical, 5 failed search, 3 the rest
+    def raise_error(args, out):
+        raise error("raised for the exit-code table")
+
+    monkeypatch.setattr(cli, "cmd_bridge", raise_error)
+    code, output = run_cli(["bridge", "--omega", "20", "--json"])
+    assert (code, output) == (EXIT_CODES.get(error, 3), "")
 
 
 class TestJsonShape:

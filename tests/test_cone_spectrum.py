@@ -9,9 +9,8 @@ from pentagramma.cone_spectrum import (OMEGA_CRITICAL, ConeQuadric, SpectralTrip
                                        solve_characteristic)
 from pentagramma.elliptic_kernel import complete_K, jacobi_triple
 from pentagramma.errors import DegenerateError, DomainError, SubcriticalError
+from pentagramma.oracles import characteristic_poly, symmetric_eigenvalues
 from pentagramma.pentagram_algebra import GOLDEN, complete_from_two
-
-from oracles import characteristic_poly, symmetric_eigenvalues
 
 
 class TestConeCoefficients:

@@ -8,9 +8,8 @@ from pentagramma.dilogarithm import (five_cycle, li2, pentagon_five_term,
                                      rogers_L, spence_residual)
 from pentagramma.errors import DomainError
 from pentagramma.napier_uniformization import beta_sequence, frame_vectors
+from pentagramma.oracles import li2_series
 from pentagramma.pentagram_algebra import GOLDEN
-
-from oracles import li2_series
 
 unit_interval = st.floats(min_value=1e-3, max_value=1.0 - 1e-3,
                           allow_nan=False, allow_infinity=False)

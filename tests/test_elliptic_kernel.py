@@ -7,8 +7,7 @@ from pentagramma.elliptic_kernel import (EllipticContext, am, complete_K,
                                          half_angle_tan, incomplete_F, jacobi_sum,
                                          jacobi_triple)
 from pentagramma.errors import DomainError, NearPoleError
-
-from oracles import invert_quad_F, quad_F, quad_K
+from pentagramma.oracles import invert_quad_F, quad_F, quad_K
 
 # frozen against an adaptive-quadrature / series evaluation of the defining
 # integrals (independent multi-precision route, 25 digits)

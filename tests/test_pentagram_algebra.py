@@ -6,14 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pentagramma.errors import DomainError, InvariantError
+from pentagramma.oracles import right_triangle
 from pentagramma.pentagram_algebra import (GOLDEN, AlphaCycle, NapierParts,
                                            alphas_from_sides, build_sphere_vertices,
                                            complete_from_two, gauss_reflect,
                                            napier_rotate, orthogonality_residuals,
                                            pentagon_parts, pentagram_invariants,
                                            sides_from_alphas, verify_napier)
-
-from oracles import right_triangle
 
 GAUSS_TUPLE = (9.0, 2.0 / 3.0, 2.0, 5.0, 1.0 / 3.0)
 
