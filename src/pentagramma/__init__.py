@@ -24,7 +24,7 @@ from .gauss_projection import (PlanarPentagon, chord_alphas, chord_betas,
                                gauss_theorem_residuals, pentagon_from_frame,
                                recover_from_pm1, recover_from_pm2)
 from .napier_uniformization import (PentagonFrame, alpha_sequence, beta_sequence,
-                                    frame_vectors, omega_of_k)
+                                    frame_vectors, k_of_omega, omega_of_k)
 from .pentagram_algebra import (GOLDEN, AlphaCycle, NapierParts, SpherePentagon,
                                 alphas_from_sides, build_sphere_vertices,
                                 complete_from_two, gauss_reflect, napier_rotate,

@@ -4,9 +4,6 @@ For modulus k and parameter u, five rays through (x, y, 1) whose planar
 parts run over the quarter-period lattice u + 4jK/5 realise every pentagon
 shape class: the squared-tangent cycle of the rays obeys the pentagon law,
 and its product recovers the shape invariant omega as a function of k alone.
-The way back from omega to k is the closed form
-cone_spectrum.modulus_from_spectrum(solve_characteristic(omega)); the
-root-finding inverse that checks it lives in pentagramma.oracles.
 """
 from __future__ import annotations
 
@@ -14,10 +11,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
+from .cone_spectrum import OMEGA_CRITICAL
 from .elliptic_kernel import complete_K, jacobi_triple
-from .errors import ChordDegenerateError, InvariantError
+from .errors import ChordDegenerateError, DomainError, InvariantError, SubcriticalError
 from .pentagram_algebra import ALPHA_MAX, AlphaCycle
+
+_SEARCH_K_MAX = 0.999999
 
 
 @dataclass(frozen=True)
@@ -85,3 +86,21 @@ def beta_sequence(f: PentagonFrame, tol: float = 1e-12) -> tuple[float, ...]:
 def omega_of_k(k: float) -> float:
     """Shape invariant of the k-frame; independent of u, so evaluated at u=0."""
     return alpha_sequence(frame_vectors(k, 0.0)).omega()
+
+
+def k_of_omega(omega: float) -> float:
+    """Numerical inverse of omega_of_k on [0, 0.999999].
+
+    Monotone growth of omega in k is relied on for the bracket (verified on
+    a grid by the tests, not proved).
+    """
+    if omega < OMEGA_CRITICAL - 1e-12:
+        raise SubcriticalError(f"omega={omega!r} below the regular value")
+    base = omega_of_k(0.0)
+    if omega <= base:
+        return 0.0
+    top = omega_of_k(_SEARCH_K_MAX)
+    if omega > top:
+        raise DomainError(f"omega={omega!r} beyond the supported range ({top:.3e})")
+    return brentq(lambda k: omega_of_k(k) - omega, 0.0, _SEARCH_K_MAX,
+                  xtol=1e-15, rtol=8.9e-16)

@@ -2,24 +2,15 @@
 
 Everything here goes through a different computational route than the code
 it checks: quadrature instead of AGM, direct series summation, the spherical
-law of cosines, numpy's symmetric eigensolver, plain polynomial evaluation,
-root finding over whole frames instead of the closed-form spectrum.
+law of cosines, numpy's symmetric eigensolver, plain polynomial evaluation.
 """
-from __future__ import annotations
-
 import math
 import warnings
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
-from scipy.optimize import brentq
 
-from .cone_spectrum import OMEGA_CRITICAL
-from .errors import DomainError, SubcriticalError
-from .napier_uniformization import omega_of_k
 from .pentagram_algebra import NapierParts
-
-_SEARCH_K_MAX = 0.999999
 
 
 def quad_F(phi, k):
@@ -58,23 +49,6 @@ def invert_quad_F(u, k):
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def invert_omega_of_k(omega: float) -> float:
-    """Modulus of the frame with shape invariant omega, by root finding on [0, 0.999999].
-
-    Monotone growth of omega in k is relied on for the bracket (verified on
-    a grid by the tests, not proved).
-    """
-    if omega < OMEGA_CRITICAL - 1e-12:
-        raise SubcriticalError(f"omega={omega!r} below the regular value")
-    if omega <= omega_of_k(0.0):
-        return 0.0
-    top = omega_of_k(_SEARCH_K_MAX)
-    if omega > top:
-        raise DomainError(f"omega={omega!r} beyond the supported range ({top:.3e})")
-    return brentq(lambda k: omega_of_k(k) - omega, 0.0, _SEARCH_K_MAX,
-                  xtol=1e-15, rtol=8.9e-16)
 
 
 def li2_series(x, terms=200000):

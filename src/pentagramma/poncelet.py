@@ -65,14 +65,18 @@ def modulus_of_config(c: TwoCircleConfig) -> tuple[float, float]:
         raise DomainError("modulus reached 1; circles are not strictly nested")
     k = math.sqrt(k2)
     alpha = math.acos(r / (R + a))
-    residual = modulus_residual(c, k, alpha)
-    if residual > 1e-12:
-        raise InvariantError(f"modulus consistency broke: residual {residual!r}")
+    lhs = math.sqrt(1.0 - k2 * math.sin(alpha) ** 2)
+    rhs = (R - a) / (R + a)
+    if abs(lhs - rhs) > 1e-12:
+        raise InvariantError(f"modulus consistency broke: {lhs!r} vs {rhs!r}")
     return k, alpha
 
 
 def modulus_residual(c: TwoCircleConfig, k: float, alpha: float) -> float:
-    """Worse of |sqrt(1 - k^2 sin^2 alpha) - (R-a)/(R+a)| and |cos(alpha) - r/(R+a)|."""
+    """Worse of |sqrt(1 - k^2 sin^2 alpha) - (R-a)/(R+a)| and |cos(alpha) - r/(R+a)|.
+
+    modulus_of_config asserts only the first; a miss in the second is left to the checks.
+    """
     R, r, a = c.R, c.r, c.a
     return max(abs(math.sqrt(1.0 - (k * math.sin(alpha)) ** 2) - (R - a) / (R + a)),
                abs(math.cos(alpha) - r / (R + a)))

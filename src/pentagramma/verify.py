@@ -160,7 +160,8 @@ def criterion_6(col: _Collector, rng) -> None:
         k_spectral, cnw, dnw = cone_spectrum.modulus_from_spectrum(s)
         worst_cn = max(worst_cn, abs(tri.cn - cnw))
         worst_dn = max(worst_dn, abs(tri.dn - dnw))
-        worst_round = max(worst_round, abs(oracles.invert_omega_of_k(omega) - k))
+        worst_round = max(worst_round,
+                          abs(napier_uniformization.k_of_omega(omega) - k))
         worst_formula = max(worst_formula, abs(k_spectral - k))
     col.add("bridge.cn", worst_cn, 1e-9)
     col.add("bridge.dn", worst_dn, 1e-9)

@@ -27,9 +27,8 @@ def failing_checks(doc):
 
 def assert_statuses_follow_checks(doc):
     failing = {name[:2] for name in failing_checks(doc)}
-    for number in range(1, 11):
-        expected = "fail" if f"{number:02d}" in failing else "pass"
-        assert doc["outputs"][f"criterion_{number:02d}"] == expected, number
+    assert doc["outputs"] == {f"criterion_{n:02d}": "fail" if f"{n:02d}" in failing else "pass"
+                              for n in range(1, 11)}
 
 
 class TestPentagram:
@@ -145,6 +144,12 @@ class TestPoncelet:
         assert code == 0
         doc = json.loads(output)
         assert abs(doc["outputs"]["closure_residuals"]["5/2"]) < 1e-15
+
+    def test_modulus_consistency_reports_both_forms(self):
+        # k = 0 zeroes the sqrt form, so the cosine form |cos(alpha) - r/R| is reported
+        argv = ["poncelet", "--R", "1", "--r", "0.5", "--a", "0", "--json"]
+        residual = json.loads(run_cli(argv)[1])["residuals"]["modulus_consistency"]["value"]
+        assert residual == abs(math.cos(math.acos(0.5)) - 0.5)
 
     def test_solve_star(self):
         code, output = run_cli(["poncelet", "--R", "1", "--r", "0.3",

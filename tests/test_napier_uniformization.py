@@ -8,8 +8,8 @@ from pentagramma.cone_spectrum import (OMEGA_CRITICAL, modulus_from_spectrum,
 from pentagramma.elliptic_kernel import complete_K, jacobi_triple
 from pentagramma.errors import DomainError, SubcriticalError
 from pentagramma.napier_uniformization import (alpha_sequence, beta_sequence,
-                                               frame_vectors, omega_of_k)
-from pentagramma.oracles import invert_omega_of_k
+                                               frame_vectors, k_of_omega,
+                                               omega_of_k)
 from pentagramma.pentagram_algebra import GOLDEN
 
 K_GRID = [round(0.1 * i, 1) for i in range(10)]
@@ -127,21 +127,21 @@ class TestOmegaOfK:
 
 class TestKOfOmega:
     def test_regular(self):
-        assert invert_omega_of_k(OMEGA_CRITICAL) == 0.0
+        assert k_of_omega(OMEGA_CRITICAL) == 0.0
 
     def test_omega_20_against_root_formula(self):
-        k = invert_omega_of_k(20.0)
+        k = k_of_omega(20.0)
         k_formula, _, _ = modulus_from_spectrum(solve_characteristic(20.0))
         assert abs(k - k_formula) < 1e-6
         # the printed four-digit roots imply k ~ 0.98973
         assert k == pytest.approx(0.98973, abs=2e-3)
 
     def test_roundtrip(self):
-        assert omega_of_k(invert_omega_of_k(12.0)) == pytest.approx(12.0, abs=1e-9)
+        assert omega_of_k(k_of_omega(12.0)) == pytest.approx(12.0, abs=1e-9)
 
     def test_subcritical(self):
         with pytest.raises(SubcriticalError):
-            invert_omega_of_k(5.0)
+            k_of_omega(5.0)
 
 
 def test_bridge_on_grid(rng):
@@ -154,4 +154,4 @@ def test_bridge_on_grid(rng):
         lattice = jacobi_triple(0.4 * complete_K(k), k)
         assert abs(lattice.cn + s.Gp / s.G) < 1e-9
         assert abs(lattice.dn - s.Gp / s.Gpp) < 1e-9
-        assert abs(invert_omega_of_k(omega) - k) < 1e-9
+        assert abs(k_of_omega(omega) - k) < 1e-9
