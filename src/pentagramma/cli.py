@@ -188,10 +188,20 @@ def _write_file(path: str, content: str) -> None:
 # ---------------------------------------------------------------- commands
 
 def _tol_override(args) -> float | None:
-    if getattr(args, "tol", None) is not None:
-        return args.tol
-    env = os.environ.get("PENTAGRAMMA_TOL")
-    return float(env) if env else None
+    """--tol, else PENTAGRAMMA_TOL, else None; a tolerance is finite and >= 0."""
+    tol, source = getattr(args, "tol", None), "--tol"
+    if tol is None:
+        env = os.environ.get("PENTAGRAMMA_TOL")
+        if not env:
+            return None
+        source = "PENTAGRAMMA_TOL"
+        try:
+            tol = float(env)
+        except ValueError:
+            raise DomainError(f"PENTAGRAMMA_TOL={env!r} is not a number") from None
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise DomainError(f"{source}={tol!r} is not a finite tolerance >= 0")
+    return tol
 
 
 def _apply_override(checks: list[Check], override: float | None) -> list[Check]:
@@ -445,6 +455,7 @@ def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     args = build_parser().parse_args(argv)
     try:
+        override = _tol_override(args)
         report = args.func(args, out)
     except (DomainError, GeometryError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
@@ -460,7 +471,7 @@ def main(argv=None, out=None) -> int:
         return _EXIT_INVARIANT
     if report is None:
         return 0
-    report.checks = _apply_override(report.checks, _tol_override(args))
+    report.checks = _apply_override(report.checks, override)
     out.write((report_json(report) if args.json else report_text(report)) + "\n")
     return 0 if report.passed else _EXIT_CHECK_FAIL
 

@@ -2,19 +2,20 @@
 
 Everything is built on the arithmetic-geometric mean: the quarter-period K
 comes straight from the AGM limit, and the amplitude is evaluated by the
-descending Landen recurrence on the AGM phases.  That makes am(u) continuous
-and strictly increasing on all of R (the winding count falls out of the
-phase seeding, no table of branch cuts), which the Poncelet turn counting
-relies on.  sn, cn, dn are then trig of the amplitude; the quadrature
-definition of these functions is only ever used as an independent test
-oracle, never in this module.
+descending Landen recurrence on the AGM phases (DLMF 19.8, A&S 17.5-17.6).
+That makes am(u) continuous and strictly increasing on all of R (the winding
+count falls out of the phase seeding, no table of branch cuts), which the
+Poncelet turn counting relies on.  The incomplete integral F is the same
+descent run backwards, so it needs no root finding either.  The phases are
+computed once per modulus and kept in a bounded memo.  sn, cn, dn are then
+trig of the amplitude; the quadrature definition of these functions is only
+ever used as an independent test oracle, never in this module.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-
-from scipy.optimize import brentq
 
 from .errors import DomainError, InvariantError, NearPoleError
 
@@ -24,6 +25,10 @@ DEFAULT_TOL = 1e-12
 # distinction between k and 1 and the AGM loses its contract.
 MAX_MODULUS = 1.0 - 1e-12
 
+# |u| and |phi| are multiplied by 2^N (N <= 8 on the modulus domain), which
+# must not overflow.
+MAX_ARGUMENT = 1e300
+
 _MAX_AGM_ITER = 64
 
 
@@ -32,32 +37,42 @@ def _check_modulus(k: float) -> None:
         raise DomainError(f"modulus k={k!r} outside [0, 1 - 1e-12]")
 
 
-def _agm_phases(k: float) -> tuple[list[float], list[float]]:
-    """AGM scales a_n and half-gaps c_n, iterated to machine convergence."""
+def _check_argument(name: str, x: float) -> None:
+    if not abs(x) <= MAX_ARGUMENT:
+        raise DomainError(f"argument {name}={x!r} is not a finite number "
+                          f"of magnitude <= {MAX_ARGUMENT!r}")
+
+
+# Callers sweep a few moduli many times over; the bound keeps a stream of
+# fresh k (the battery draws hundreds per run) from growing the memo.
+@functools.lru_cache(maxsize=256)
+def _agm_phases(k: float) -> tuple[float, tuple[float, ...], tuple[tuple[float, float], ...]]:
+    """AGM of (a_0, b_0, c_0) = (1, k', k) to machine convergence.
+
+    Returns a_N, am's descent ratios c_n/a_n for n = N..1, and F's step
+    constants (c_n, b_{n-1}) for n = 1..N.
+    """
     a = 1.0
     b = math.sqrt((1.0 - k) * (1.0 + k))
     c = k
-    scales = [a]
-    gaps = [c]
+    ratios = []
+    steps = []
     for _ in range(_MAX_AGM_ITER):
+        nxt = (0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b))
         # quadratic convergence bottoms out at rounding noise ~eps*a, so the
         # cut sits just above one ulp, with a plateau guard behind it
-        if abs(c) <= 2.5e-16 * a:
-            return scales, gaps
-        nxt = (0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b))
-        if abs(nxt[2]) >= abs(c):
-            return scales, gaps
+        if abs(c) <= 2.5e-16 * a or abs(nxt[2]) >= abs(c):
+            return a, tuple(reversed(ratios)), tuple(steps)
+        steps.append((nxt[2], b))
         a, b, c = nxt
-        scales.append(a)
-        gaps.append(c)
+        ratios.append(c / a)
     raise InvariantError(f"AGM failed to converge for k={k!r}")
 
 
 def complete_K(k: float) -> float:
     """Quarter-period K(k), exact to the last AGM iterate."""
     _check_modulus(k)
-    scales, _ = _agm_phases(k)
-    return math.pi / (2.0 * scales[-1])
+    return math.pi / (2.0 * _agm_phases(k)[0])
 
 
 def am(u: float, k: float) -> float:
@@ -69,11 +84,11 @@ def am(u: float, k: float) -> float:
     am(u + 2K) = am(u) + pi holds to rounding without explicit unwinding.
     """
     _check_modulus(k)
-    scales, gaps = _agm_phases(k)
-    n = len(scales) - 1
-    phi = math.ldexp(scales[-1] * u, n)
-    for i in range(n, 0, -1):
-        phi = 0.5 * (phi + math.asin(gaps[i] / scales[i] * math.sin(phi)))
+    _check_argument("u", u)
+    scale, ratios, _ = _agm_phases(k)
+    phi = math.ldexp(scale * u, len(ratios))
+    for ratio in ratios:
+        phi = 0.5 * (phi + math.asin(ratio * math.sin(phi)))
     return phi
 
 
@@ -111,40 +126,24 @@ def jacobi_triple(u: float, k: float) -> JacobiTriple:
     return JacobiTriple(sn, cn, dn)
 
 
-def _invert_am(phi: float, k: float, quarter: float) -> float:
-    """Solve am(u) = phi for phi in [0, pi/2].
-
-    k' u <= am(u) <= u pins the root inside [phi, K]; Brent plus one Newton
-    polish (the derivative of am is dn) lands at machine precision.
-    """
-    if phi <= 0.0:
-        return 0.0
-    u = brentq(lambda t: am(t, k) - phi, phi * (1.0 - 1e-12), quarter,
-               xtol=1e-15, rtol=8.9e-16)
-    dn = math.sqrt(1.0 - (k * math.sin(phi)) ** 2)
-    return u - (am(u, k) - phi) / dn
-
-
 def incomplete_F(phi: float, k: float) -> float:
-    """Incomplete integral of the first kind, i.e. the inverse of am.
+    """Incomplete integral of the first kind, i.e. the inverse of am on all of R.
 
-    Extended beyond [0, pi/2] by oddness and F(phi + pi) = F(phi) + 2K.
+    am's descent run backwards: for n = 1..N, theta = 2 phi_{n-1} and
+    phi_n = theta - atan2(c_n sin theta, a_n + c_n cos theta), then
+    F = phi_N / (2^N a_N).  a_n + c_n cos theta > 0 because c_n < a_n, so
+    atan2 never leaves (-pi/2, pi/2) and no branch or turn count is needed.
+    The denominator is evaluated as b_{n-1} + 2 c_n cos^2 phi_{n-1}, which
+    equals it but does not cancel when k -> 1 and cos theta -> -1.
     """
     _check_modulus(k)
-    if phi == 0.0:
-        return 0.0
-    if phi < 0.0:
-        return -incomplete_F(-phi, k)
-    if k == 0.0:
-        return phi
-    quarter = complete_K(k)
-    turns = math.floor(phi / math.pi)
-    rest = phi - turns * math.pi
-    if rest <= 0.5 * math.pi:
-        u = _invert_am(rest, k, quarter)
-    else:
-        u = 2.0 * quarter - _invert_am(math.pi - rest, k, quarter)
-    return 2.0 * turns * quarter + u
+    _check_argument("phi", phi)
+    scale, _, steps = _agm_phases(k)
+    for gap, geo in steps:
+        s = math.sin(phi)
+        c = math.cos(phi)
+        phi = 2.0 * phi - math.atan2(2.0 * gap * s * c, geo + 2.0 * gap * c * c)
+    return phi / math.ldexp(scale, len(steps))
 
 
 def jacobi_sum(u: float, v: float, k: float, tol: float = DEFAULT_TOL) -> JacobiTriple:

@@ -138,10 +138,14 @@ def porism_residual(c: TwoCircleConfig, n: int, m: int, starts) -> float:
                for p0 in starts)
 
 
-def closure_residual(c: TwoCircleConfig, n: int, m: int) -> float:
-    """F(alpha, k) - (m/n) F(pi, k); zero exactly when the walk closes."""
+def _check_walk(n: int, m: int) -> None:
     if n < 3 or not 1 <= m < n:
         raise DomainError(f"need n >= 3 chords and 1 <= m < n turns, got {(n, m)}")
+
+
+def closure_residual(c: TwoCircleConfig, n: int, m: int) -> float:
+    """F(alpha, k) - (m/n) F(pi, k); zero exactly when the walk closes."""
+    _check_walk(n, m)
     k, alpha = modulus_of_config(c)
     return incomplete_F(alpha, k) - (m / n) * incomplete_F(math.pi, k)
 
@@ -152,10 +156,19 @@ def search_closing_config(n: int, m: int, R: float, r: float) -> TwoCircleConfig
     The bracket [0, min(r, R-r)) keeps every probed configuration valid.
     Raises NoSolutionError when the closure residual does not change sign
     there — for star polygons that happens whenever the inner circle is too
-    large (e.g. a 5/2 star needs r below about 0.31 R).
+    large (e.g. a 5/2 star needs r below about 0.31 R).  A walk with
+    2m >= n is refused before any evaluation: cos(alpha) = r/(R+a) > 0 puts
+    alpha below pi/2, so the forward rotation number F(alpha)/2K stays
+    below 1/2.
     """
     if R <= 0.0 or r <= 0.0:
         raise GeometryError("radii must be positive")
+    _check_walk(n, m)
+    if 2 * m >= n:
+        raise NoSolutionError(
+            f"(n={n}, m={m}) needs rotation number m/n >= 1/2, but the forward "
+            f"walk's rotation number F(alpha)/2K is below 1/2 for every nested "
+            f"pair of circles; ({n}, {n - m}) is the same polygon walked backwards")
     upper = min(r, R - r) - 1e-9 * R
     if upper <= 0.0:
         raise NoSolutionError("no admissible centre-distance bracket")

@@ -168,6 +168,12 @@ class TestPoncelet:
                            "--solve", "5", "2"])
         assert code == 5
 
+    def test_half_turn_walk_names_its_bound(self, capsys):
+        code, output = run_cli(["poncelet", "--R", "1", "--r", "0.3", "--solve", "5", "4"])
+        assert (code, output) == (5, "")
+        err = capsys.readouterr().err
+        assert "F(alpha)/2K is below 1/2" in err and "(5, 1)" in err
+
     def test_svg_and_csv(self, tmp_path):
         svg = tmp_path / "walk.svg"
         csv_file = tmp_path / "walk.csv"
@@ -216,6 +222,24 @@ class TestVerifyAll:
         assert {rec["tol"] for rec in doc["residuals"].values()} == {1e-13}
         assert_statuses_follow_checks(doc)
         assert set(doc["outputs"].values()) == {"pass", "fail"}
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "nan", "inf", "-inf"])
+    def test_env_tolerance_rejected(self, value, monkeypatch, capsys):
+        monkeypatch.setenv("PENTAGRAMMA_TOL", value)
+        code, output = run_cli(["bridge", "--omega", "20"])
+        assert (code, output) == (2, "")
+        assert "PENTAGRAMMA_TOL" in capsys.readouterr().err
+
+    def test_negative_tol_rejected(self, capsys):
+        code, output = run_cli(["verify-all", "--tol=-1e-12", "--json"])
+        assert (code, output) == (2, "")
+        assert "--tol" in capsys.readouterr().err
+
+    def test_zero_tolerance_accepted(self, monkeypatch):
+        monkeypatch.setenv("PENTAGRAMMA_TOL", "0")
+        code, output = run_cli(["bridge", "--omega", "20", "--json"])
+        assert code in (0, 1)
+        assert {rec["tol"] for rec in json.loads(output)["residuals"].values()} == {0.0}
 
 
 EXIT_CODES = {errors.DomainError: 2, errors.GeometryError: 2,

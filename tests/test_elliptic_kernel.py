@@ -1,11 +1,15 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import ellipkinc
 
-from pentagramma.elliptic_kernel import (EllipticContext, am, complete_K,
-                                         half_angle_tan, incomplete_F, jacobi_sum,
-                                         jacobi_triple)
+from pentagramma.elliptic_kernel import (MAX_ARGUMENT, MAX_MODULUS, EllipticContext,
+                                         _agm_phases, am, complete_K, half_angle_tan,
+                                         incomplete_F, jacobi_sum, jacobi_triple)
 from pentagramma.errors import DomainError, NearPoleError
 from pentagramma.oracles import invert_quad_F, quad_F, quad_K
 
@@ -14,6 +18,10 @@ from pentagramma.oracles import invert_quad_F, quad_F, quad_K
 K_08 = 1.9953027776647294
 F_PI5_06 = 0.6429228814909583
 TRIPLE_07_05 = (0.6342932763351124, 0.7730925168413343, 0.9483765127305806)
+
+
+# both ends of the modulus domain, and two points near k = 1
+EDGE_MODULI = [0.0, 1e-300, 0.5, 0.9999, 1.0 - 1e-9, MAX_MODULUS]
 
 
 class TestCompleteK:
@@ -65,6 +73,41 @@ class TestIncompleteF:
 
     def test_oddness(self):
         assert incomplete_F(-1.1, 0.6) == -incomplete_F(1.1, 0.6)
+
+    @pytest.mark.parametrize("k", EDGE_MODULI)
+    def test_mpmath_agreement(self, k, rng):
+        # F is the descent run backwards, so the whole real line, both signs
+        # and the moduli next to 0 and 1 go through one path
+        phis = [1e-12, 1e-6, 0.3, 1.0, math.pi / 2, math.pi / 2 + 1e-9, 3.0,
+                7.7, 123.4, 6365 * math.pi / 2, 1e4]
+        phis += list(10.0 ** rng.uniform(-3.0, 4.0, size=20))
+        phis += [-p for p in phis]
+        with mpmath.workdps(30):
+            ksq = mpmath.mpf(k) ** 2
+            expected = [float(mpmath.ellipf(phi, ksq)) for phi in phis]
+        for phi, value in zip(phis, expected):
+            assert incomplete_F(phi, k) == pytest.approx(value, rel=1e-13)
+
+    def test_scipy_agreement(self, rng):
+        for _ in range(200):
+            k = rng.uniform(0.0, 0.99)
+            phi = rng.uniform(-math.pi / 2, math.pi / 2)
+            assert incomplete_F(phi, k) == pytest.approx(
+                ellipkinc(phi, k * k), rel=1e-13)
+
+    @pytest.mark.parametrize("k", EDGE_MODULI)
+    def test_shift_and_oddness_across_moduli(self, k, rng):
+        two_k = 2.0 * complete_K(k)
+        for phi in rng.uniform(-50.0, 50.0, size=20):
+            shifted = incomplete_F(phi + math.pi, k)
+            assert shifted == pytest.approx(incomplete_F(phi, k) + two_k,
+                                            rel=1e-13, abs=1e-13 * two_k)
+            assert incomplete_F(-phi, k) == -incomplete_F(phi, k)
+
+    @given(st.floats(0.0, MAX_MODULUS), st.floats(-1e4, 1e4))
+    @settings(max_examples=300)
+    def test_am_inverts_F(self, k, phi):
+        assert abs(am(incomplete_F(phi, k), k) - phi) <= 1e-12 * max(1.0, abs(phi))
 
 
 class TestAmplitude:
@@ -217,3 +260,36 @@ def test_context_invariants():
     assert ctx.K == pytest.approx(quad_K(0.8), abs=ctx.tol)
     assert EllipticContext.for_modulus(0.0).K == pytest.approx(
         math.pi / 2, abs=1e-15)
+
+
+@pytest.mark.parametrize("func, name", [(am, "u"), (jacobi_triple, "u"),
+                                        (incomplete_F, "phi")])
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, 1e308, -1e308])
+def test_argument_outside_domain(func, name, x):
+    with pytest.raises(DomainError, match=f"argument {name}="):
+        func(x, 0.5)
+    func(MAX_ARGUMENT, MAX_MODULUS)
+
+
+class TestPhaseMemo:
+    def evaluate(self):
+        out = []
+        for k in (0.0, 0.3, 0.8, MAX_MODULUS):
+            out += [complete_K(k), am(2.5, k), tuple(jacobi_triple(-7.0, k)),
+                    incomplete_F(1.2, k), incomplete_F(-40.0, k)]
+        return out
+
+    def test_cold_and_warm_bit_identical(self):
+        _agm_phases.cache_clear()
+        cold = self.evaluate()
+        assert _agm_phases.cache_info().currsize == 4
+        warm = self.evaluate()
+        assert _agm_phases.cache_info().hits > 0
+        assert cold == warm
+
+    def test_bounded(self, rng):
+        maxsize = _agm_phases.cache_info().maxsize
+        assert maxsize is not None and maxsize > 0
+        for k in rng.uniform(0.0, 0.99, size=maxsize + 50):
+            complete_K(float(k))
+        assert _agm_phases.cache_info().currsize == maxsize

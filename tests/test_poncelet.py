@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pentagramma import poncelet
 from pentagramma.elliptic_kernel import am, incomplete_F
 from pentagramma.errors import DomainError, GeometryError, NoSolutionError
 from pentagramma.poncelet import (TwoCircleConfig, chord_step, closure_residual,
@@ -155,6 +156,17 @@ class TestSearchClosingConfig:
         # a 5/2 star cannot touch an inner circle beyond ~0.31 R
         with pytest.raises(NoSolutionError):
             search_closing_config(5, 2, 1.0, 0.4)
+
+    @pytest.mark.parametrize("n, m", [(5, 4), (5, 3), (4, 2), (7, 4)])
+    def test_half_turn_bound_named_before_evaluation(self, n, m, monkeypatch):
+        # F(alpha) < K for every nested pair, so m/n >= 1/2 never closes
+        def no_evaluation(*args):
+            raise AssertionError("closure residual evaluated")
+
+        monkeypatch.setattr(poncelet, "closure_residual", no_evaluation)
+        with pytest.raises(NoSolutionError, match=r"F\(alpha\)/2K is below 1/2") as info:
+            search_closing_config(n, m, 1.0, 0.1)
+        assert f"({n}, {n - m}) is the same polygon walked backwards" in str(info.value)
 
     def test_porism_start_independence(self, rng):
         config = search_closing_config(5, 2, 1.0, 0.29)
