@@ -247,10 +247,9 @@ def _napier_row(k: float, u: float):
     frame = frame_vectors(k, u)
     cycle = alpha_sequence(frame)
     betas = beta_sequence(frame)
-    a = cycle.alphas
-    law = max(abs(1.0 + a[j] - a[(j - 2) % 5] * a[(j + 2) % 5]) for j in range(5))
+    law = max(abs(r) for r in cycle.relation_residuals())
     five = abs(pentagon_five_term(betas))
-    consistency = max(abs(b - v / (1.0 + v)) for b, v in zip(betas, a))
+    consistency = max(abs(b - v / (1.0 + v)) for b, v in zip(betas, cycle.alphas))
     return frame, cycle, betas, law, five, consistency
 
 

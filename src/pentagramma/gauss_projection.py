@@ -43,14 +43,16 @@ class PlanarPentagon:
         return self.anomalies[r] + TWO_PI * q
 
 
-def _fit_axes(pts: np.ndarray) -> tuple[float, float]:
-    """Exact two-point solve of x^2/A + y^2/B = 1, first workable pair."""
+def _fit_axes(pts) -> tuple[float, float]:
+    """Exact two-point solve of x^2/A + y^2/B = 1 by Cramer's rule, first workable pair."""
     for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3)):
-        m = np.array([[pts[i, 0] ** 2, pts[i, 1] ** 2],
-                      [pts[j, 0] ** 2, pts[j, 1] ** 2]])
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        if abs(det) > 1e-12 * max(1.0, abs(m).max() ** 2):
-            inv_a2, inv_b2 = np.linalg.solve(m, np.ones(2))
+        (xi, yi), (xj, yj) = pts[i], pts[j]
+        p, q = xi * xi, yi * yi
+        r, s = xj * xj, yj * yj
+        det = p * s - q * r
+        if abs(det) > 1e-12 * max(1.0, max(p, q, r, s) ** 2):
+            inv_a2 = (s - q) / det
+            inv_b2 = (p - r) / det
             if inv_a2 <= 0.0 or inv_b2 <= 0.0:
                 raise InvariantError("points do not span an origin-centred ellipse")
             return 1.0 / math.sqrt(inv_a2), 1.0 / math.sqrt(inv_b2)
@@ -70,24 +72,24 @@ def eccentric_anomaly(point, axes, tol: float = _FIT_TOL) -> float:
 
 def pentagon_from_frame(f: PentagonFrame, tol: float = _FIT_TOL) -> PlanarPentagon:
     """Drop the frame rays to the plane and recover axes and anomalies."""
-    pts = np.array(f.vectors[:, :2])
-    axes = _fit_axes(pts)
+    rows = [(x, y) for x, y, _ in f.vectors.tolist()]
+    axes = _fit_axes(rows)
     inv_a2 = 1.0 / axes[0] ** 2
     inv_b2 = 1.0 / axes[1] ** 2
-    for x, y in pts:
+    for x, y in rows:
         if abs(x * x * inv_a2 + y * y * inv_b2 - 1.0) > tol:
             raise InvariantError("vertices do not share one axis-aligned ellipse")
     for i in range(5):
-        xp, yp = pts[(i - 1) % 5]
-        xn, yn = pts[(i + 1) % 5]
+        xp, yp = rows[(i - 1) % 5]
+        xn, yn = rows[(i + 1) % 5]
         if abs(xp * xn + yp * yn + 1.0) > tol:
             raise InvariantError("next-nearest rays are not orthogonal")
 
-    raw = [eccentric_anomaly(p, axes, tol) for p in pts]
+    raw = [eccentric_anomaly(p, axes, tol) for p in rows]
     unwrapped = [raw[0]]
     for j in range(1, 5):
         unwrapped.append(unwrapped[-1] + (raw[j] - unwrapped[-1]) % TWO_PI)
-    return PlanarPentagon(points=pts, axes=axes, anomalies=tuple(unwrapped))
+    return PlanarPentagon(points=np.array(rows), axes=axes, anomalies=tuple(unwrapped))
 
 
 def chord_alphas(p: PlanarPentagon) -> tuple[float, ...]:

@@ -50,22 +50,29 @@ def frame_vectors(k: float, u: float) -> PentagonFrame:
                          vectors=np.array(rows))
 
 
-def _chord_ratio(f: PentagonFrame, j: int, tol: float):
-    a = f.vectors[j]
-    b = f.vectors[(j + 1) % 5]
-    dot = float(np.dot(a, b))
-    if abs(dot) <= tol:
-        raise ChordDegenerateError(
-            f"rays {j} and {j + 1} orthogonal within {tol} at (k={f.k}, u={f.u})")
-    cross = np.cross(a, b)
-    return float(np.dot(cross, cross)), dot, float(np.dot(a, a)) * float(np.dot(b, b))
+def _chords(f: PentagonFrame, tol: float) -> list[tuple[float, float, float]]:
+    """(|a x b|^2, a.b, |a|^2 |b|^2) for each chord a = r_j, b = r_{j+1}."""
+    rows = f.vectors.tolist()
+    out = []
+    for j in range(5):
+        ax, ay, az = rows[j]
+        bx, by, bz = rows[(j + 1) % 5]
+        dot = ax * bx + ay * by + az * bz
+        if abs(dot) <= tol:
+            raise ChordDegenerateError(
+                f"rays {j} and {j + 1} orthogonal within {tol} at (k={f.k}, u={f.u})")
+        cx = ay * bz - az * by
+        cy = az * bx - ax * bz
+        cz = ax * by - ay * bx
+        out.append((cx * cx + cy * cy + cz * cz, dot,
+                    (ax * ax + ay * ay + az * az) * (bx * bx + by * by + bz * bz)))
+    return out
 
 
 def alpha_sequence(f: PentagonFrame, tol: float = 1e-12) -> AlphaCycle:
     """Squared tangents of the ray gaps; satisfies 1 + a_j = a_{j-2} a_{j+2}."""
     values = []
-    for j in range(5):
-        cross2, dot, _ = _chord_ratio(f, j, tol)
+    for cross2, dot, _ in _chords(f, tol):
         alpha = cross2 / (dot * dot)
         if alpha > ALPHA_MAX:
             raise ChordDegenerateError(
@@ -76,11 +83,7 @@ def alpha_sequence(f: PentagonFrame, tol: float = 1e-12) -> AlphaCycle:
 
 def beta_sequence(f: PentagonFrame, tol: float = 1e-12) -> tuple[float, ...]:
     """Squared sines of the ray gaps: beta_j = alpha_j/(1+alpha_j), strictly < 1."""
-    values = []
-    for j in range(5):
-        cross2, _, norms = _chord_ratio(f, j, tol)
-        values.append(cross2 / norms)
-    return tuple(values)
+    return tuple(cross2 / norms for cross2, _, norms in _chords(f, tol))
 
 
 def omega_of_k(k: float) -> float:
@@ -96,8 +99,8 @@ def k_of_omega(omega: float) -> float:
     """
     if omega < OMEGA_CRITICAL - 1e-12:
         raise SubcriticalError(f"omega={omega!r} below the regular value")
-    base = omega_of_k(0.0)
-    if omega <= base:
+    # omega_of_k(0) may round to either side of OMEGA_CRITICAL; both mean k = 0
+    if omega <= max(OMEGA_CRITICAL, omega_of_k(0.0)):
         return 0.0
     top = omega_of_k(_SEARCH_K_MAX)
     if omega > top:

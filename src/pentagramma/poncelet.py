@@ -39,8 +39,7 @@ class PonceletTrajectory:
     config: TwoCircleConfig
 
 
-def validate_config(c: TwoCircleConfig) -> TwoCircleConfig:
-    """Check nesting constraints; return the configuration rescaled to R = 1."""
+def _check_nesting(c: TwoCircleConfig) -> None:
     if c.R <= 0.0:
         raise GeometryError("outer radius must be positive")
     if c.r <= 0.0:
@@ -53,12 +52,17 @@ def validate_config(c: TwoCircleConfig) -> TwoCircleConfig:
     if c.a >= c.r:
         raise GeometryError(
             f"outer centre must lie inside the inner circle: a = {c.a!r} >= r = {c.r!r}")
+
+
+def validate_config(c: TwoCircleConfig) -> TwoCircleConfig:
+    """Check nesting constraints; return the configuration rescaled to R = 1."""
+    _check_nesting(c)
     return TwoCircleConfig(R=1.0, r=c.r / c.R, a=c.a / c.R)
 
 
 def modulus_of_config(c: TwoCircleConfig) -> tuple[float, float]:
     """Elliptic modulus and chord amplitude: k^2 = 4Ra/((R+a)^2 - r^2), cos(alpha) = r/(R+a)."""
-    validate_config(c)
+    _check_nesting(c)
     R, r, a = c.R, c.r, c.a
     k2 = 4.0 * R * a / ((R + a) ** 2 - r ** 2)
     if k2 >= 1.0:
@@ -92,7 +96,7 @@ def chord_step(c: TwoCircleConfig, phi: float, prev: float | None = None) -> flo
     asserted in cross-multiplied form (the tan form has poles on any long
     trajectory).
     """
-    validate_config(c)
+    _check_nesting(c)
     R, r, a = c.R, c.r, c.a
     A = (R + a) * math.cos(phi)
     B = (R - a) * math.sin(phi)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import (cone_spectrum, dilogarithm, elliptic_kernel, gauss_projection,
                napier_uniformization, oracles, pentagram_algebra, poncelet)
-from .errors import NoSolutionError, PentagrammaError
+from .errors import ChordDegenerateError, NoSolutionError, PentagrammaError
 from .pentagram_algebra import GOLDEN
 
 PI = math.pi
@@ -43,21 +43,20 @@ class _Collector(list):
 
 
 def _grid_frames(rng, ks, per_k=20):
-    """(k, u) samples with the chord-degenerate skip policy applied."""
+    """(frame, betas) samples per k with the chord-degenerate skip policy applied."""
     for k in ks:
         quarter = elliptic_kernel.complete_K(k)
         us = rng.uniform(0.0, 0.8 * quarter, size=per_k)
         valid = []
         for u in us:
             frame = napier_uniformization.frame_vectors(k, float(u))
-            cosines = []
-            for j in range(5):
-                a = frame.vectors[j]
-                b = frame.vectors[(j + 1) % 5]
-                cosines.append(abs(float(np.dot(a, b)))
-                               / math.sqrt(float(np.dot(a, a)) * float(np.dot(b, b))))
-            if min(cosines) >= _GAP_COSINE_FLOOR:
-                valid.append(frame)
+            try:
+                betas = napier_uniformization.beta_sequence(frame)
+            except ChordDegenerateError:
+                continue
+            # beta is the squared sine of the gap, so cos^2 = 1 - beta
+            if max(betas) <= 1.0 - _GAP_COSINE_FLOOR ** 2:
+                valid.append((frame, betas))
         if len(valid) < _MIN_VALID_SAMPLES:
             raise PentagrammaError(
                 f"too many chord-degenerate samples at k={k}: {len(valid)}/{per_k}")
@@ -136,10 +135,9 @@ def criterion_5(col: _Collector, rng) -> None:
     """Pentagon law on the (k, u) grid; regular values at k = 0."""
     worst_law = 0.0
     for _, frames in _grid_frames(rng, [0.1 * i for i in range(10)]):
-        for frame in frames:
-            a = napier_uniformization.alpha_sequence(frame).alphas
-            worst_law = max(worst_law, max(
-                abs(1.0 + a[j] - a[(j - 2) % 5] * a[(j + 2) % 5]) for j in range(5)))
+        for frame, _ in frames:
+            cycle = napier_uniformization.alpha_sequence(frame)
+            worst_law = max(worst_law, max(abs(r) for r in cycle.relation_residuals()))
     col.add("law.grid", worst_law, 1e-10)
 
     frame = napier_uniformization.frame_vectors(0.0, float(rng.uniform(0.0, 2.0)))
@@ -253,8 +251,7 @@ def criterion_9(col: _Collector, rng) -> None:
 
     worst_sum = 0.0
     for _, frames in _grid_frames(rng, [0.1 * i for i in range(10)]):
-        for frame in frames:
-            betas = napier_uniformization.beta_sequence(frame)
+        for _, betas in frames:
             worst_sum = max(worst_sum, abs(dilogarithm.pentagon_five_term(betas)))
     col.add("dilog.pentagon_sum", worst_sum, 1e-10)
 

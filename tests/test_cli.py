@@ -78,6 +78,17 @@ class TestNapier:
         code, _ = run_cli(["napier", "--k", "1.5", "--u", "0"])
         assert code == 2
 
+    def test_law_scaled_near_unit_modulus(self):
+        # alphas reach ~9e3 here: 1 + a_j - a_{j-2} a_{j+2} is ~1e-7 in
+        # absolute terms but ~1e-11 relative to 1 + a_j
+        code, output = run_cli(["napier", "--k", "0.999999999", "--u", "0.3",
+                                "--json"])
+        assert code == 0
+        doc = json.loads(output)
+        assert doc["status"] == "pass"
+        assert max(doc["outputs"]["alphas"]) > 1e3
+        assert doc["residuals"]["pentagon_law"]["value"] < 1e-10
+
     def test_grid_csv(self, tmp_path):
         target = tmp_path / "sweep.csv"
         code, _ = run_cli(["napier", "--grid", "--samples", "4",

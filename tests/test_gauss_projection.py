@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from pentagramma.cone_spectrum import (modulus_from_spectrum, solve_characteristic)
-from pentagramma.errors import OffEllipseError, SingularError
-from pentagramma.gauss_projection import (PlanarPentagon, chord_alphas, chord_betas,
-                                          confocal_residual, eccentric_anomaly,
+from pentagramma.errors import InvariantError, OffEllipseError, SingularError
+from pentagramma.gauss_projection import (PlanarPentagon, _fit_axes, chord_alphas,
+                                          chord_betas, confocal_residual, eccentric_anomaly,
                                           gauss_theorem_residuals,
                                           pentagon_from_frame, recover_from_pm1,
                                           recover_from_pm2)
@@ -72,6 +72,31 @@ class TestPentagonFromFrame:
             xp, yp = pentagon.point(i - 1)
             xn, yn = pentagon.point(i + 1)
             assert xp * xn + yp * yn + 1.0 == pytest.approx(0.0, abs=1e-12)
+
+
+class TestFitAxes:
+    def test_matches_linear_solve(self, rng):
+        for _ in range(200):
+            a, b = rng.uniform(0.1, 10.0, size=2)
+            t = rng.uniform(0.0, 2 * math.pi, size=5)
+            pts = [(a * math.cos(v), b * math.sin(v)) for v in t]
+            (x0, y0), (x1, y1) = pts[0], pts[1]
+            inv_a2, inv_b2 = np.linalg.solve([[x0 ** 2, y0 ** 2], [x1 ** 2, y1 ** 2]],
+                                             np.ones(2))
+            want = (1.0 / math.sqrt(inv_a2), 1.0 / math.sqrt(inv_b2))
+            assert _fit_axes(pts) == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert _fit_axes(np.array(pts)) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_degenerate_pairs_rejected(self):
+        # every vertex has the same x^2 and y^2, so no pair fixes the axes
+        pts = [(1.0, 2.0), (-1.0, 2.0), (1.0, -2.0), (-1.0, -2.0), (1.0, 2.0)]
+        with pytest.raises(InvariantError, match="degenerate"):
+            _fit_axes(pts)
+
+    def test_hyperbola_rejected(self):
+        pts = [(1.0, 0.0), (math.sqrt(2.0), 1.0), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0)]
+        with pytest.raises(InvariantError, match="ellipse"):
+            _fit_axes(pts)
 
 
 class TestChordQuantities:

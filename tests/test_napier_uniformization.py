@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pentagramma import napier_uniformization
 from pentagramma.cone_spectrum import (OMEGA_CRITICAL, modulus_from_spectrum,
                                        solve_characteristic)
 from pentagramma.elliptic_kernel import complete_K, jacobi_triple
 from pentagramma.errors import DomainError, SubcriticalError
+from pentagramma.gauss_projection import chord_alphas, chord_betas, pentagon_from_frame
 from pentagramma.napier_uniformization import (alpha_sequence, beta_sequence,
                                                frame_vectors, k_of_omega,
                                                omega_of_k)
@@ -106,6 +110,33 @@ class TestBetaSequence:
             assert all(0.0 < b < 1.0 for b in beta_sequence(f))
 
 
+def numpy_chords(f):
+    """The chord quantities through np.cross and np.dot, one chord at a time."""
+    alphas, betas = [], []
+    for j in range(5):
+        a, b = f.vectors[j], f.vectors[(j + 1) % 5]
+        cross = np.cross(a, b)
+        cross2, dot = float(np.dot(cross, cross)), float(np.dot(a, b))
+        alphas.append(cross2 / dot ** 2)
+        betas.append(cross2 / (float(np.dot(a, a)) * float(np.dot(b, b))))
+    return alphas, betas
+
+
+class TestChordsAgainstNumpy:
+    @given(st.floats(0.0, 0.99), st.floats(-4.0, 4.0))
+    @settings(max_examples=300)
+    def test_plain_floats_match_vector_route(self, k, turns):
+        f = frame_vectors(k, turns * complete_K(k))
+        alphas = alpha_sequence(f).alphas
+        betas = beta_sequence(f)
+        want_alphas, want_betas = numpy_chords(f)
+        assert alphas == pytest.approx(want_alphas, rel=1e-14, abs=0.0)
+        assert betas == pytest.approx(want_betas, rel=1e-14, abs=0.0)
+        pentagon = pentagon_from_frame(f)
+        assert alphas == pytest.approx(chord_alphas(pentagon), rel=1e-14, abs=0.0)
+        assert betas == pytest.approx(chord_betas(pentagon), rel=1e-14, abs=0.0)
+
+
 class TestOmegaOfK:
     def test_regular_value(self):
         assert omega_of_k(0.0) == pytest.approx(11.0901699, abs=1e-7)
@@ -128,6 +159,22 @@ class TestOmegaOfK:
 class TestKOfOmega:
     def test_regular(self):
         assert k_of_omega(OMEGA_CRITICAL) == 0.0
+
+    @pytest.mark.parametrize("ulps", [-2, -1, 0, 1, 2])
+    def test_regular_whichever_side_k0_rounds(self, ulps, monkeypatch):
+        exact = omega_of_k
+        shifted = OMEGA_CRITICAL + ulps * math.ulp(OMEGA_CRITICAL)
+        monkeypatch.setattr(napier_uniformization, "omega_of_k",
+                            lambda k: shifted if k == 0.0 else exact(k))
+        assert k_of_omega(OMEGA_CRITICAL) == 0.0
+
+    @pytest.mark.parametrize("ulps", [1, 2, 3, 5, 8])
+    def test_just_above_regular(self, ulps):
+        omega = OMEGA_CRITICAL + ulps * math.ulp(OMEGA_CRITICAL)
+        k = k_of_omega(omega)
+        # omega - OMEGA_CRITICAL grows like k^4, so a few ulps reach k ~ 1e-4
+        assert 0.0 <= k < 1e-3
+        assert abs(omega_of_k(k) - omega) <= 4 * math.ulp(OMEGA_CRITICAL)
 
     def test_omega_20_against_root_formula(self):
         k = k_of_omega(20.0)

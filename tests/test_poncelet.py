@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -93,6 +94,24 @@ class TestChordStep:
                 + (R - a) * math.sin(q) * math.sin(phi)
             assert geometric == pytest.approx(product, abs=1e-14)
             assert geometric == pytest.approx(r, abs=1e-13)
+
+
+UNNESTED = [TwoCircleConfig(1.0, 0.5, 0.6), TwoCircleConfig(1.0, 0.9, 0.2),
+            TwoCircleConfig(1.0, -0.5, 0.2), TwoCircleConfig(-1.0, 0.5, 0.2),
+            TwoCircleConfig(1.0, 0.5, -0.1)]
+
+
+@pytest.mark.parametrize("config", UNNESTED)
+def test_walk_on_unnested_config_raises(config):
+    with pytest.raises(GeometryError) as expected:
+        validate_config(config)
+    message = re.escape(str(expected.value))
+    with pytest.raises(GeometryError, match=message):
+        chord_step(config, 0.3)
+    with pytest.raises(GeometryError, match=message):
+        chord_step(config, 0.3, prev=0.1)
+    with pytest.raises(GeometryError, match=message):
+        trajectory(config, 0.3, 5)
 
 
 class TestTrajectory:
