@@ -12,15 +12,13 @@ from .cone_spectrum import (ConeQuadric, SpectralTriple, characteristic_matrix,
                             modulus_from_spectrum, solve_characteristic)
 from .dilogarithm import (FiveCycle, five_cycle, li2, pentagon_five_term,
                           rogers_L, spence_residual)
-from .elliptic_kernel import (EllipticContext, JacobiTriple, am, complete_K,
-                              half_angle_tan, incomplete_F, jacobi_sum,
-                              jacobi_triple)
+from .elliptic_kernel import (JacobiTriple, am, complete_K, half_angle_tan,
+                              incomplete_F, jacobi_sum, jacobi_triple)
 from .errors import (ChordDegenerateError, DegenerateError, DomainError,
                      GeometryError, InvariantError, NearPoleError,
                      NoSolutionError, NoTangentError, OffEllipseError,
                      PentagrammaError, SingularError, SubcriticalError)
-from .gauss_projection import (PlanarPentagon, chord_alphas, chord_betas,
-                               confocal_residual, eccentric_anomaly,
+from .gauss_projection import (PlanarPentagon, confocal_residual, eccentric_anomaly,
                                gauss_theorem_residuals, pentagon_from_frame,
                                recover_from_pm1, recover_from_pm2)
 from .napier_uniformization import (PentagonFrame, alpha_sequence, beta_sequence,

@@ -296,10 +296,12 @@ def cmd_napier(args, out) -> RunReport | None:
 
 
 def cmd_bridge(args, out) -> RunReport:
-    omega = args.omega if args.omega is not None else omega_of_k(args.k)
+    if args.omega is not None:
+        omega, k = args.omega, k_of_omega(args.omega)
+    else:
+        omega, k = omega_of_k(args.k), args.k
     spectral = solve_characteristic(omega)
     k_spectral, cnw, dnw = modulus_from_spectrum(spectral)
-    k = k_spectral if args.omega is not None else args.k
     quarter = complete_K(k)
     lattice = jacobi_triple(0.4 * quarter, k)
     report = RunReport(
@@ -320,7 +322,7 @@ def cmd_bridge(args, out) -> RunReport:
         report.checks.append(Check("omega_roundtrip",
                                    abs(omega_of_k(k) - omega) / max(1.0, omega), 1e-9))
     if args.omega is None:
-        report.checks.append(Check("k_roundtrip", abs(k_of_omega(omega) - k), 1e-9))
+        report.checks.append(Check("k_roundtrip", abs(k_spectral - k), 1e-9))
     return report
 
 

@@ -10,11 +10,13 @@ PI2_6 = math.pi ** 2 / 6.0
 
 
 def _li2_series(x: float) -> float:
-    # geometric decay for x <= 1/2: ~55 terms reach 1e-18
+    # geometric decay for x <= 1/2: ~50 terms reach 1e-18 relative to the
+    # leading term x, so tiny x keeps its digits instead of summing to 0
     total = 0.0
     term = x
     n = 1
-    while term / (n * n) > 1e-18:
+    cut = 1e-18 * x
+    while term / (n * n) > cut:
         total += term / (n * n)
         term *= x
         n += 1
@@ -22,7 +24,7 @@ def _li2_series(x: float) -> float:
 
 
 def li2(x: float) -> float:
-    """Euler dilogarithm on [0, 1], absolute accuracy ~1e-15.
+    """Euler dilogarithm on [0, 1], relative accuracy ~1e-15 down to the tiniest x.
 
     Direct series below 1/2, reflection through pi^2/6 - ln x ln(1-x) above
     (the series converges too slowly near 1).

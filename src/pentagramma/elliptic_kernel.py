@@ -104,19 +104,6 @@ class JacobiTriple:
         return iter((self.sn, self.cn, self.dn))
 
 
-@dataclass(frozen=True)
-class EllipticContext:
-    """A modulus with its quarter-period and the tolerance used by checks."""
-
-    k: float
-    K: float
-    tol: float = DEFAULT_TOL
-
-    @classmethod
-    def for_modulus(cls, k: float, tol: float = DEFAULT_TOL) -> "EllipticContext":
-        return cls(k=k, K=complete_K(k), tol=tol)
-
-
 def jacobi_triple(u: float, k: float) -> JacobiTriple:
     """(sn, cn, dn) at u.  dn is the positive root of 1 - k^2 sn^2."""
     phi = am(u, k)

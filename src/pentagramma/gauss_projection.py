@@ -92,28 +92,6 @@ def pentagon_from_frame(f: PentagonFrame, tol: float = _FIT_TOL) -> PlanarPentag
     return PlanarPentagon(points=np.array(rows), axes=axes, anomalies=tuple(unwrapped))
 
 
-def chord_alphas(p: PlanarPentagon) -> tuple[float, ...]:
-    """Squared tangents from planar chords alone (no third coordinate)."""
-    out = []
-    for i in range(5):
-        x1, y1 = p.point(i)
-        x2, y2 = p.point(i + 1)
-        num = (x1 - x2) ** 2 + (y1 - y2) ** 2 + (x1 * y2 - y1 * x2) ** 2
-        out.append(num / (x1 * x2 + y1 * y2 + 1.0) ** 2)
-    return tuple(out)
-
-
-def chord_betas(p: PlanarPentagon) -> tuple[float, ...]:
-    """Squared sines of the vertex gaps, again from planar data."""
-    out = []
-    for i in range(5):
-        x1, y1 = p.point(i)
-        x2, y2 = p.point(i + 1)
-        num = (x1 - x2) ** 2 + (y1 - y2) ** 2 + (x1 * y2 - y1 * x2) ** 2
-        out.append(num / ((x1 ** 2 + y1 ** 2 + 1.0) * (x2 ** 2 + y2 ** 2 + 1.0)))
-    return tuple(out)
-
-
 def recover_from_pm2(p: PlanarPentagon, i: int, tol: float = 1e-12):
     """Vertex i from vertices i-2 and i+2 through the two right angles."""
     x2, y2 = p.point(i + 2)

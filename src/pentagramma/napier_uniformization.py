@@ -11,14 +11,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .cone_spectrum import OMEGA_CRITICAL
-from .elliptic_kernel import complete_K, jacobi_triple
-from .errors import ChordDegenerateError, DomainError, InvariantError, SubcriticalError
+from . import cone_spectrum
+from .elliptic_kernel import MAX_MODULUS, complete_K, jacobi_triple
+from .errors import ChordDegenerateError, DomainError, InvariantError
 from .pentagram_algebra import ALPHA_MAX, AlphaCycle
-
-_SEARCH_K_MAX = 0.999999
 
 
 @dataclass(frozen=True)
@@ -91,19 +88,22 @@ def omega_of_k(k: float) -> float:
     return alpha_sequence(frame_vectors(k, 0.0)).omega()
 
 
-def k_of_omega(omega: float) -> float:
-    """Numerical inverse of omega_of_k on [0, 0.999999].
+# the top of the (k, omega) domain: omega_of_k is increasing, so k <= MAX_MODULUS
+# exactly when omega <= OMEGA_MAX
+OMEGA_MAX = omega_of_k(MAX_MODULUS)
 
-    Monotone growth of omega in k is relied on for the bracket (verified on
-    a grid by the tests, not proved).
+
+def k_of_omega(omega: float) -> float:
+    """Modulus of the shape class omega, by the spectral bridge.
+
+    k comes in closed form from the roots of t(2t-1)^2 = omega(t-1)
+    (cone_spectrum.modulus_from_spectrum).  Domain: omega in
+    [OMEGA_CRITICAL, OMEGA_MAX] <-> k in [0, MAX_MODULUS]; below it
+    SubcriticalError (slack 1e-12), above it DomainError.  Near the critical
+    value omega - OMEGA_CRITICAL grows like k^4, so k is ill-conditioned
+    there, and inside the 1e-10 window around it k is exactly 0.
     """
-    if omega < OMEGA_CRITICAL - 1e-12:
-        raise SubcriticalError(f"omega={omega!r} below the regular value")
-    # omega_of_k(0) may round to either side of OMEGA_CRITICAL; both mean k = 0
-    if omega <= max(OMEGA_CRITICAL, omega_of_k(0.0)):
-        return 0.0
-    top = omega_of_k(_SEARCH_K_MAX)
-    if omega > top:
-        raise DomainError(f"omega={omega!r} beyond the supported range ({top:.3e})")
-    return brentq(lambda k: omega_of_k(k) - omega, 0.0, _SEARCH_K_MAX,
-                  xtol=1e-15, rtol=8.9e-16)
+    if not omega <= OMEGA_MAX:
+        raise DomainError(f"omega={omega!r} beyond omega(MAX_MODULUS) = {OMEGA_MAX!r}: "
+                          f"k would exceed MAX_MODULUS = {MAX_MODULUS!r}")
+    return cone_spectrum.modulus_from_spectrum(cone_spectrum.solve_characteristic(omega))[0]

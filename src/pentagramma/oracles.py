@@ -2,7 +2,8 @@
 
 Everything here goes through a different computational route than the code
 it checks: quadrature instead of AGM, direct series summation, the spherical
-law of cosines, numpy's symmetric eigensolver, plain polynomial evaluation.
+law of cosines, numpy's symmetric eigensolver, plain polynomial evaluation,
+root finding over whole frames, chord quantities from planar data.
 """
 import math
 import warnings
@@ -10,6 +11,9 @@ import warnings
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
+from . import napier_uniformization
+from .cone_spectrum import OMEGA_CRITICAL
+from .errors import DomainError, SubcriticalError
 from .pentagram_algebra import NapierParts
 
 
@@ -49,6 +53,50 @@ def invert_quad_F(u, k):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def invert_omega_of_k(omega):
+    """k with omega_of_k(k) = omega, by brentq over whole Napier frames on [0, 0.999999].
+
+    Monotone growth of omega in k is relied on for the bracket (verified on
+    a grid by the tests, not proved).
+    """
+    from scipy.optimize import brentq
+
+    omega_of_k = napier_uniformization.omega_of_k
+    k_max = 0.999999
+    if omega < OMEGA_CRITICAL - 1e-12:
+        raise SubcriticalError(f"omega={omega!r} below the regular value")
+    # omega_of_k(0) may round to either side of OMEGA_CRITICAL; both mean k = 0
+    if omega <= max(OMEGA_CRITICAL, omega_of_k(0.0)):
+        return 0.0
+    top = omega_of_k(k_max)
+    if omega > top:
+        raise DomainError(f"omega={omega!r} beyond the supported range ({top:.3e})")
+    return brentq(lambda k: omega_of_k(k) - omega, 0.0, k_max,
+                  xtol=1e-15, rtol=8.9e-16)
+
+
+def chord_alphas(p):
+    """Squared tangents from planar chords alone (no third coordinate)."""
+    out = []
+    for i in range(5):
+        x1, y1 = p.point(i)
+        x2, y2 = p.point(i + 1)
+        num = (x1 - x2) ** 2 + (y1 - y2) ** 2 + (x1 * y2 - y1 * x2) ** 2
+        out.append(num / (x1 * x2 + y1 * y2 + 1.0) ** 2)
+    return tuple(out)
+
+
+def chord_betas(p):
+    """Squared sines of the vertex gaps, again from planar data."""
+    out = []
+    for i in range(5):
+        x1, y1 = p.point(i)
+        x2, y2 = p.point(i + 1)
+        num = (x1 - x2) ** 2 + (y1 - y2) ** 2 + (x1 * y2 - y1 * x2) ** 2
+        out.append(num / ((x1 ** 2 + y1 ** 2 + 1.0) * (x2 ** 2 + y2 ** 2 + 1.0)))
+    return tuple(out)
 
 
 def li2_series(x, terms=200000):

@@ -149,7 +149,7 @@ def criterion_5(col: _Collector, rng) -> None:
 
 def criterion_6(col: _Collector, rng) -> None:
     """The spectral-modulus bridge both ways across the k grid."""
-    worst_cn = worst_dn = worst_round = worst_formula = 0.0
+    worst_cn = worst_dn = worst_formula = 0.0
     for k in [0.1 * i for i in range(1, 10)]:
         omega = napier_uniformization.omega_of_k(k)
         s = cone_spectrum.solve_characteristic(omega)
@@ -158,12 +158,9 @@ def criterion_6(col: _Collector, rng) -> None:
         k_spectral, cnw, dnw = cone_spectrum.modulus_from_spectrum(s)
         worst_cn = max(worst_cn, abs(tri.cn - cnw))
         worst_dn = max(worst_dn, abs(tri.dn - dnw))
-        worst_round = max(worst_round,
-                          abs(napier_uniformization.k_of_omega(omega) - k))
         worst_formula = max(worst_formula, abs(k_spectral - k))
     col.add("bridge.cn", worst_cn, 1e-9)
     col.add("bridge.dn", worst_dn, 1e-9)
-    col.add("bridge.k_roundtrip", worst_round, 1e-9)
     col.add("bridge.k_formula", worst_formula, 1e-9)
 
 

@@ -138,6 +138,18 @@ class TestBridge:
         code, _ = run_cli(["bridge", "--omega", "5"])
         assert code == 4
 
+    def test_k_near_one(self):
+        code, output = run_cli(["bridge", "--k", "0.9999999", "--json"])
+        assert code == 0
+        assert json.loads(output)["residuals"]["k_roundtrip"]["value"] == 0.0
+
+    @pytest.mark.parametrize("omega", ["1e6", "1e12"])
+    def test_omega_beyond_top_names_the_bound(self, omega, capsys):
+        code, output = run_cli(["bridge", "--omega", omega, "--json"])
+        assert (code, output) == (2, "")
+        message = capsys.readouterr().err
+        assert f"omega={float(omega)!r}" in message and "MAX_MODULUS" in message
+
 
 class TestPoncelet:
     def test_report_candidates(self):

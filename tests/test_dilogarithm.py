@@ -28,6 +28,10 @@ class TestLi2:
         for x in rng.uniform(0.0, 0.9, size=40):
             assert li2(float(x)) == pytest.approx(li2_series(float(x)), abs=1e-13)
 
+    @pytest.mark.parametrize("x", [1e-300, 1e-20, 1e-17, 1e-10])
+    def test_relative_accuracy_for_tiny_x(self, x):
+        assert li2(x) == pytest.approx(li2_series(x), rel=1e-15, abs=0.0)
+
     def test_domain(self):
         for x in (-0.1, 1.1):
             with pytest.raises(DomainError):

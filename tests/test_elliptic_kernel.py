@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ellipkinc
 
-from pentagramma.elliptic_kernel import (MAX_ARGUMENT, MAX_MODULUS, EllipticContext,
-                                         _agm_phases, am, complete_K, half_angle_tan,
-                                         incomplete_F, jacobi_sum, jacobi_triple)
+from pentagramma.elliptic_kernel import (MAX_ARGUMENT, MAX_MODULUS, _agm_phases, am,
+                                         complete_K, half_angle_tan, incomplete_F,
+                                         jacobi_sum, jacobi_triple)
 from pentagramma.errors import DomainError, NearPoleError
 from pentagramma.oracles import invert_quad_F, quad_F, quad_K
 
@@ -252,14 +252,6 @@ class TestHalfAngleTan:
         quarter = complete_K(k)
         with pytest.raises(NearPoleError):
             half_angle_tan(quarter, quarter, k)
-
-
-def test_context_invariants():
-    ctx = EllipticContext.for_modulus(0.8)
-    assert ctx.K >= math.pi / 2
-    assert ctx.K == pytest.approx(quad_K(0.8), abs=ctx.tol)
-    assert EllipticContext.for_modulus(0.0).K == pytest.approx(
-        math.pi / 2, abs=1e-15)
 
 
 @pytest.mark.parametrize("func, name", [(am, "u"), (jacobi_triple, "u"),

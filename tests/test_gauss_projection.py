@@ -5,12 +5,12 @@ import pytest
 
 from pentagramma.cone_spectrum import (modulus_from_spectrum, solve_characteristic)
 from pentagramma.errors import InvariantError, OffEllipseError, SingularError
-from pentagramma.gauss_projection import (PlanarPentagon, _fit_axes, chord_alphas,
-                                          chord_betas, confocal_residual, eccentric_anomaly,
-                                          gauss_theorem_residuals,
+from pentagramma.gauss_projection import (PlanarPentagon, _fit_axes, confocal_residual,
+                                          eccentric_anomaly, gauss_theorem_residuals,
                                           pentagon_from_frame, recover_from_pm1,
                                           recover_from_pm2)
 from pentagramma.napier_uniformization import alpha_sequence, frame_vectors
+from pentagramma.oracles import chord_alphas, chord_betas
 from pentagramma.pentagram_algebra import GOLDEN
 
 

@@ -6,14 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pentagramma import napier_uniformization
-from pentagramma.cone_spectrum import (OMEGA_CRITICAL, modulus_from_spectrum,
-                                       solve_characteristic)
-from pentagramma.elliptic_kernel import complete_K, jacobi_triple
+from pentagramma.cone_spectrum import (_NEAR_CRITICAL, OMEGA_CRITICAL,
+                                       modulus_from_spectrum, solve_characteristic)
+from pentagramma.elliptic_kernel import MAX_MODULUS, complete_K, jacobi_triple
 from pentagramma.errors import DomainError, SubcriticalError
-from pentagramma.gauss_projection import chord_alphas, chord_betas, pentagon_from_frame
-from pentagramma.napier_uniformization import (alpha_sequence, beta_sequence,
+from pentagramma.gauss_projection import pentagon_from_frame
+from pentagramma.napier_uniformization import (OMEGA_MAX, alpha_sequence, beta_sequence,
                                                frame_vectors, k_of_omega,
                                                omega_of_k)
+from pentagramma.oracles import chord_alphas, chord_betas, invert_omega_of_k
 from pentagramma.pentagram_algebra import GOLDEN
 
 K_GRID = [round(0.1 * i, 1) for i in range(10)]
@@ -160,28 +161,54 @@ class TestKOfOmega:
     def test_regular(self):
         assert k_of_omega(OMEGA_CRITICAL) == 0.0
 
+    @pytest.mark.parametrize("offset", [-1e-12, -1e-13, 0.0, 1e-13, 1e-11, 0.99e-10])
+    def test_zero_inside_near_critical_window(self, offset):
+        assert abs(offset) < _NEAR_CRITICAL
+        assert k_of_omega(OMEGA_CRITICAL + offset) == 0.0
+
+    # the brentq inverse over whole frames is the oracle for the spectral
+    # route; its own properties are pinned by the next three tests
     @pytest.mark.parametrize("ulps", [-2, -1, 0, 1, 2])
     def test_regular_whichever_side_k0_rounds(self, ulps, monkeypatch):
         exact = omega_of_k
         shifted = OMEGA_CRITICAL + ulps * math.ulp(OMEGA_CRITICAL)
         monkeypatch.setattr(napier_uniformization, "omega_of_k",
                             lambda k: shifted if k == 0.0 else exact(k))
-        assert k_of_omega(OMEGA_CRITICAL) == 0.0
+        assert invert_omega_of_k(OMEGA_CRITICAL) == 0.0
 
     @pytest.mark.parametrize("ulps", [1, 2, 3, 5, 8])
     def test_just_above_regular(self, ulps):
         omega = OMEGA_CRITICAL + ulps * math.ulp(OMEGA_CRITICAL)
-        k = k_of_omega(omega)
+        k = invert_omega_of_k(omega)
         # omega - OMEGA_CRITICAL grows like k^4, so a few ulps reach k ~ 1e-4
         assert 0.0 <= k < 1e-3
         assert abs(omega_of_k(k) - omega) <= 4 * math.ulp(OMEGA_CRITICAL)
 
     def test_omega_20_against_root_formula(self):
-        k = k_of_omega(20.0)
+        k = invert_omega_of_k(20.0)
         k_formula, _, _ = modulus_from_spectrum(solve_characteristic(20.0))
         assert abs(k - k_formula) < 1e-6
         # the printed four-digit roots imply k ~ 0.98973
         assert k == pytest.approx(0.98973, abs=2e-3)
+
+    def test_agrees_with_brentq_oracle(self):
+        for omega in np.geomspace(omega_of_k(0.1), omega_of_k(0.999999), 40):
+            assert abs(k_of_omega(float(omega)) - invert_omega_of_k(float(omega))) < 1e-9
+
+    def test_top_of_domain_is_exact(self):
+        assert OMEGA_MAX == omega_of_k(MAX_MODULUS)
+        assert k_of_omega(OMEGA_MAX) == MAX_MODULUS
+        omega = OMEGA_MAX
+        for _ in range(1000):
+            omega = math.nextafter(omega, 0.0)
+            assert k_of_omega(omega) <= MAX_MODULUS
+
+    @pytest.mark.parametrize("omega", [math.nextafter(OMEGA_MAX, math.inf), 1e6, 1e12,
+                                       1e300, math.inf, math.nan])
+    def test_beyond_top_names_the_bound(self, omega):
+        with pytest.raises(DomainError, match="MAX_MODULUS") as info:
+            k_of_omega(omega)
+        assert f"omega={omega!r}" in str(info.value)
 
     def test_roundtrip(self):
         assert omega_of_k(k_of_omega(12.0)) == pytest.approx(12.0, abs=1e-9)
@@ -189,6 +216,8 @@ class TestKOfOmega:
     def test_subcritical(self):
         with pytest.raises(SubcriticalError):
             k_of_omega(5.0)
+        with pytest.raises(SubcriticalError):
+            k_of_omega(OMEGA_CRITICAL - 2e-12)
 
 
 def test_bridge_on_grid(rng):
