@@ -8,10 +8,9 @@ geometrically.
 """
 
 from .cone_spectrum import (ConeQuadric, SpectralTriple, characteristic_matrix,
-                            cone_coefficients, critical_omega,
-                            modulus_from_spectrum, solve_characteristic)
-from .dilogarithm import (FiveCycle, five_cycle, li2, pentagon_five_term,
-                          rogers_L, spence_residual)
+                            cone_coefficients, modulus_from_spectrum,
+                            solve_characteristic)
+from .dilogarithm import li2, pentagon_five_term, rogers_L, spence_residual
 from .elliptic_kernel import (JacobiTriple, am, complete_K, half_angle_tan,
                               incomplete_F, jacobi_sum, jacobi_triple)
 from .errors import (ChordDegenerateError, DegenerateError, DomainError,

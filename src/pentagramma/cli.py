@@ -19,8 +19,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import verify
-from .cone_spectrum import (OMEGA_CRITICAL, characteristic_matrix, cone_coefficients,
-                            modulus_from_spectrum, solve_characteristic)
+from .cone_spectrum import (OMEGA_CRITICAL, cone_coefficients, modulus_from_spectrum,
+                            solve_characteristic)
 from .elliptic_kernel import complete_K, incomplete_F, jacobi_triple
 from .errors import (DomainError, GeometryError, NoSolutionError, PentagrammaError,
                      SubcriticalError)
@@ -36,6 +36,7 @@ from .poncelet import (TwoCircleConfig, closure_residual, modulus_of_config,
 from .verify import Check
 
 _NEAR_CRITICAL_WARN = 1e-4
+_SVG_SIZE = 480  # pixels per side
 
 _EXIT_CHECK_FAIL = 1
 _EXIT_DOMAIN = 2
@@ -99,29 +100,12 @@ def report_json(report: RunReport) -> str:
     return _to_json(doc)
 
 
-def _render_value(value) -> str:
-    if isinstance(value, dict):
-        items = ", ".join(f"{key}={_render_value(value[key])}"
-                          for key in sorted(value))
-        return "{" + items + "}"
-    if isinstance(value, (list, tuple, np.ndarray)):
-        seq = value.tolist() if isinstance(value, np.ndarray) else value
-        return "[" + ", ".join(_render_value(v) for v in seq) + "]"
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
 def report_text(report: RunReport) -> str:
     lines = [f"command: {report.command}"]
     for key in sorted(report.inputs):
-        lines.append(f"  input  {key} = {_render_value(report.inputs[key])}")
+        lines.append(f"  input  {key} = {_to_json(report.inputs[key])}")
     for key in sorted(report.outputs):
-        lines.append(f"  output {key} = {_render_value(report.outputs[key])}")
+        lines.append(f"  output {key} = {_to_json(report.outputs[key])}")
     for c in report.checks:
         tag = "pass" if c.passed else "FAIL"
         extra = f"  ({c.detail})" if c.detail else ""
@@ -135,12 +119,12 @@ def report_text(report: RunReport) -> str:
 
 # ---------------------------------------------------------------- drawings
 
-def _svg_document(body: list[str], half_extent: float, size: int = 480) -> str:
-    scale = size / (2.0 * half_extent)
+def _svg_document(body: list[str], half_extent: float) -> str:
+    scale = _SVG_SIZE / (2.0 * half_extent)
     head = (f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-            f'width="{size}" height="{size}" '
-            f'viewBox="0 0 {size} {size}">\n'
-            f'<g transform="translate({size / 2},{size / 2}) '
+            f'width="{_SVG_SIZE}" height="{_SVG_SIZE}" '
+            f'viewBox="0 0 {_SVG_SIZE} {_SVG_SIZE}">\n'
+            f'<g transform="translate({_SVG_SIZE / 2},{_SVG_SIZE / 2}) '
             f'scale({scale:.6f},{-scale:.6f})" '
             f'stroke-width="{2.0 / scale:.6f}" fill="none">\n')
     return head + "\n".join(body) + "\n</g>\n</svg>\n"
@@ -212,8 +196,8 @@ def cmd_pentagram(args, out) -> RunReport:
     cycle = complete_from_two(args.alpha, args.gamma)
     total, prod, augmented = pentagram_invariants(cycle)
     quadric = cone_coefficients(args.alpha, args.gamma)
+    k = k_of_omega(prod)
     spectral = solve_characteristic(prod)
-    k, cnw, dnw = modulus_from_spectrum(spectral)
     pentagon = build_sphere_vertices(cycle)
 
     report = RunReport(
@@ -374,13 +358,12 @@ def cmd_poncelet(args, out) -> RunReport:
 
 
 def cmd_verify_all(args, out) -> RunReport:
-    override = _tol_override(args)
     report = RunReport(command="verify-all",
                        inputs={"seed": args.seed,
-                               "tol": override if override is not None else "default"})
+                               "tol": args.tol if args.tol is not None else "default"})
     for number, checks in verify.run_all(seed=args.seed).items():
         checks = _apply_override(
-            [replace(c, name=f"{number:02d}.{c.name}") for c in checks], override)
+            [replace(c, name=f"{number:02d}.{c.name}") for c in checks], args.tol)
         report.checks.extend(checks)
         report.outputs[f"criterion_{number:02d}"] = (
             "pass" if all(c.passed for c in checks) else "fail")
@@ -388,6 +371,12 @@ def cmd_verify_all(args, out) -> RunReport:
 
 
 # ---------------------------------------------------------------- parser
+
+def _nonnegative_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+    return int(text)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -410,9 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", type=float, default=0.0, help="frame parameter")
     p.add_argument("--grid", action="store_true",
                    help="sweep the (k, u) grid and emit CSV")
-    p.add_argument("--samples", type=int, default=20,
+    p.add_argument("--samples", type=_nonnegative_int, default=20,
                    help="u samples per k in grid mode")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--csv", metavar="FILE", help="grid CSV destination")
     p.add_argument("--svg", metavar="FILE",
                    help="write the projected pentagon drawing")
@@ -436,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=30,
                    help="chords drawn for --svg/--csv")
     p.add_argument("--phi0", type=float, default=0.0, help="starting half-angle")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--svg", metavar="FILE")
     p.add_argument("--csv", metavar="FILE")
     p.add_argument("--json", action="store_true")
@@ -445,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-all", help="run the full acceptance battery")
     p.add_argument("--tol", type=float, default=None,
                    help="override every check tolerance")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify_all)
 
@@ -456,7 +445,7 @@ def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     args = build_parser().parse_args(argv)
     try:
-        override = _tol_override(args)
+        args.tol = _tol_override(args)
         report = args.func(args, out)
     except (DomainError, GeometryError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
@@ -472,7 +461,8 @@ def main(argv=None, out=None) -> int:
         return _EXIT_INVARIANT
     if report is None:
         return 0
-    report.checks = _apply_override(report.checks, override)
+    if args.func is not cmd_verify_all:  # verify-all applies it per criterion
+        report.checks = _apply_override(report.checks, args.tol)
     out.write((report_json(report) if args.json else report_text(report)) + "\n")
     return 0 if report.passed else _EXIT_CHECK_FAIL
 

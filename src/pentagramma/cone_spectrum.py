@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DegenerateError, DomainError, InvariantError, SubcriticalError
 from .pentagram_algebra import GOLDEN, complete_from_two
 
-OMEGA_CRITICAL = GOLDEN ** 5  # = (11 + 5 sqrt 5)/2, the regular-pentagram value
+OMEGA_CRITICAL = GOLDEN ** 5  # = (11 + 5 sqrt 5)/2, the least omega: the regular pentagram
 
 # below this distance from the critical point the double root is returned
 # exactly to dodge catastrophic cancellation in the modulus formula
@@ -41,9 +41,6 @@ class SpectralTriple:
     Gp: float
     Gpp: float
     omega: float
-
-    def characteristic_residuals(self) -> tuple[float, float, float]:
-        return tuple(_cubic(t, self.omega) for t in (self.G, self.Gp, self.Gpp))
 
     def product_residuals(self) -> tuple[float, float, float]:
         """Scaled residuals of the three root-product identities."""
@@ -76,11 +73,6 @@ def characteristic_matrix(c: ConeQuadric) -> np.ndarray:
         [c.r / 2.0, 0.0, c.q / 2.0],
         [c.p / 2.0, c.q / 2.0, 1.0],
     ])
-
-
-def critical_omega() -> float:
-    """Smallest shape invariant of a real pentagon, attained by the regular one."""
-    return OMEGA_CRITICAL
 
 
 def _cubic(t: float, omega: float) -> float:

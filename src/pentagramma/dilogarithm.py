@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 
@@ -58,38 +57,6 @@ def spence_residual(x: float, y: float) -> float:
     return (rogers_L(x) + rogers_L(y) - rogers_L(xy)
             - rogers_L(x * (1.0 - y) / (1.0 - xy))
             - rogers_L(y * (1.0 - x) / (1.0 - xy)))
-
-
-@dataclass(frozen=True)
-class FiveCycle:
-    """The b-cycle in (0,1) and its companion a-cycle a_n = b_n/(1-b_n).
-
-    Cyclic laws: b_{n-1} b_{n+1} = 1 - b_n and a_{n-2} a_{n+2} = 1 + a_n.
-    The a-law is the pentagon side-cycle law under the identity relabelling,
-    since -2 == +3 (mod 5).
-    """
-
-    b: tuple[float, ...]
-    a: tuple[float, ...]
-
-    def b_residuals(self) -> tuple[float, ...]:
-        return tuple(self.b[(n - 1) % 5] * self.b[(n + 1) % 5] - (1.0 - self.b[n])
-                     for n in range(5))
-
-    def a_residuals(self) -> tuple[float, ...]:
-        return tuple(self.a[(n - 2) % 5] * self.a[(n + 2) % 5] - (1.0 + self.a[n])
-                     for n in range(5))
-
-
-def five_cycle(x: float, y: float) -> FiveCycle:
-    """The cycle (x, 1-xy, y, (1-y)/(1-xy), (1-x)/(1-xy)) and its a-companion."""
-    for v in (x, y):
-        if not 0.0 < v < 1.0:
-            raise DomainError(f"five_cycle argument {v!r} outside (0, 1)")
-    xy = x * y
-    b = (x, 1.0 - xy, y, (1.0 - y) / (1.0 - xy), (1.0 - x) / (1.0 - xy))
-    a = tuple(bn / (1.0 - bn) for bn in b)
-    return FiveCycle(b=b, a=a)
 
 
 def pentagon_five_term(betas) -> float:

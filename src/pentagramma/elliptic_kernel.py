@@ -133,12 +133,12 @@ def incomplete_F(phi: float, k: float) -> float:
     return phi / math.ldexp(scale, len(steps))
 
 
-def jacobi_sum(u: float, v: float, k: float, tol: float = DEFAULT_TOL) -> JacobiTriple:
+def jacobi_sum(u: float, v: float, k: float) -> JacobiTriple:
     """(sn, cn, dn) of u+v through the addition-formula quotients."""
     su, cu, du = jacobi_triple(u, k)
     sv, cv, dv = jacobi_triple(v, k)
     denom = 1.0 - (k * su * sv) ** 2
-    if abs(denom) <= tol:
+    if abs(denom) <= DEFAULT_TOL:
         # denom >= 1 - k^2 > 0 for any real arguments, so reaching this
         # means the kernel itself broke.
         raise DomainError(f"addition-formula denominator vanished: {denom!r}")
@@ -148,7 +148,7 @@ def jacobi_sum(u: float, v: float, k: float, tol: float = DEFAULT_TOL) -> Jacobi
     return JacobiTriple(sn, cn, dn)
 
 
-def half_angle_tan(x: float, y: float, k: float, tol: float = DEFAULT_TOL) -> float:
+def half_angle_tan(x: float, y: float, k: float) -> float:
     """tan((am x + am y)/2), cross-checked against dn((x-y)/2) tan(am((x+y)/2)).
 
     The internal check uses the cross-multiplied residual
@@ -157,8 +157,8 @@ def half_angle_tan(x: float, y: float, k: float, tol: float = DEFAULT_TOL) -> fl
     """
     half = 0.5 * (am(x, k) + am(y, k))
     pole_distance = abs(half % math.pi - 0.5 * math.pi)
-    if pole_distance <= tol:
-        raise NearPoleError(f"half-sum amplitude within {tol} of pi/2 mod pi")
+    if pole_distance <= DEFAULT_TOL:
+        raise NearPoleError(f"half-sum amplitude within {DEFAULT_TOL} of pi/2 mod pi")
     mid = am(0.5 * (x + y), k)
     dnv = jacobi_triple(0.5 * (x - y), k).dn
     residual = math.sin(half) * math.cos(mid) - dnv * math.cos(half) * math.sin(mid)

@@ -21,6 +21,7 @@ from .napier_uniformization import PentagonFrame
 TWO_PI = 2.0 * math.pi
 
 _FIT_TOL = 1e-9
+_COLLINEAR_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -59,56 +60,55 @@ def _fit_axes(pts) -> tuple[float, float]:
     raise InvariantError("all vertex pairs degenerate for the axes solve")
 
 
-def eccentric_anomaly(point, axes, tol: float = _FIT_TOL) -> float:
+def eccentric_anomaly(point, axes) -> float:
     """Angle phi in [0, 2pi) with point = (a cos phi, b sin phi)."""
     x, y = point
     a, b = axes
     cx = x / a
     sy = y / b
-    if abs(cx * cx + sy * sy - 1.0) > tol:
+    if abs(cx * cx + sy * sy - 1.0) > _FIT_TOL:
         raise OffEllipseError(f"point {(x, y)} misses the ellipse {axes}")
     return math.atan2(sy, cx) % TWO_PI
 
 
-def pentagon_from_frame(f: PentagonFrame, tol: float = _FIT_TOL) -> PlanarPentagon:
+def pentagon_from_frame(f: PentagonFrame) -> PlanarPentagon:
     """Drop the frame rays to the plane and recover axes and anomalies."""
     rows = [(x, y) for x, y, _ in f.vectors.tolist()]
     axes = _fit_axes(rows)
     inv_a2 = 1.0 / axes[0] ** 2
     inv_b2 = 1.0 / axes[1] ** 2
     for x, y in rows:
-        if abs(x * x * inv_a2 + y * y * inv_b2 - 1.0) > tol:
+        if abs(x * x * inv_a2 + y * y * inv_b2 - 1.0) > _FIT_TOL:
             raise InvariantError("vertices do not share one axis-aligned ellipse")
     for i in range(5):
         xp, yp = rows[(i - 1) % 5]
         xn, yn = rows[(i + 1) % 5]
-        if abs(xp * xn + yp * yn + 1.0) > tol:
+        if abs(xp * xn + yp * yn + 1.0) > _FIT_TOL:
             raise InvariantError("next-nearest rays are not orthogonal")
 
-    raw = [eccentric_anomaly(p, axes, tol) for p in rows]
+    raw = [eccentric_anomaly(p, axes) for p in rows]
     unwrapped = [raw[0]]
     for j in range(1, 5):
         unwrapped.append(unwrapped[-1] + (raw[j] - unwrapped[-1]) % TWO_PI)
     return PlanarPentagon(points=np.array(rows), axes=axes, anomalies=tuple(unwrapped))
 
 
-def recover_from_pm2(p: PlanarPentagon, i: int, tol: float = 1e-12):
+def recover_from_pm2(p: PlanarPentagon, i: int):
     """Vertex i from vertices i-2 and i+2 through the two right angles."""
     x2, y2 = p.point(i + 2)
     xm, ym = p.point(i - 2)
     den = x2 * ym - y2 * xm
-    if abs(den) <= tol:
+    if abs(den) <= _COLLINEAR_TOL:
         raise SingularError("reference vertices collinear with the origin")
     return np.array([(y2 - ym) / den, (xm - x2) / den])
 
 
-def recover_from_pm1(p: PlanarPentagon, s: SpectralTriple, i: int,
-                     tol: float = 1e-12):
+def recover_from_pm1(p: PlanarPentagon, s: SpectralTriple, i: int):
     """Vertex i from vertices i-1 and i+1 through the confocal relation."""
     x1, y1 = p.point(i + 1)
     xm, ym = p.point(i - 1)
     den = xm * y1 - x1 * ym
-    if abs(den) <= tol:
+    if abs(den) <= _COLLINEAR_TOL:
         raise SingularError("reference vertices collinear with the origin")
     scale = 2.0 * s.G - 1.0
     return np.array([-(2.0 * s.Gp - 1.0) / scale * (y1 - ym) / den,

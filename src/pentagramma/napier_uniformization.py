@@ -17,6 +17,9 @@ from .elliptic_kernel import MAX_MODULUS, complete_K, jacobi_triple
 from .errors import ChordDegenerateError, DomainError, InvariantError
 from .pentagram_algebra import ALPHA_MAX, AlphaCycle
 
+# a chord whose rays are this close to orthogonal has no finite tangent
+_ORTHOGONAL_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class PentagonFrame:
@@ -47,7 +50,7 @@ def frame_vectors(k: float, u: float) -> PentagonFrame:
                          vectors=np.array(rows))
 
 
-def _chords(f: PentagonFrame, tol: float) -> list[tuple[float, float, float]]:
+def _chords(f: PentagonFrame) -> list[tuple[float, float, float]]:
     """(|a x b|^2, a.b, |a|^2 |b|^2) for each chord a = r_j, b = r_{j+1}."""
     rows = f.vectors.tolist()
     out = []
@@ -55,9 +58,9 @@ def _chords(f: PentagonFrame, tol: float) -> list[tuple[float, float, float]]:
         ax, ay, az = rows[j]
         bx, by, bz = rows[(j + 1) % 5]
         dot = ax * bx + ay * by + az * bz
-        if abs(dot) <= tol:
-            raise ChordDegenerateError(
-                f"rays {j} and {j + 1} orthogonal within {tol} at (k={f.k}, u={f.u})")
+        if abs(dot) <= _ORTHOGONAL_TOL:
+            raise ChordDegenerateError(f"rays {j} and {j + 1} orthogonal within "
+                                       f"{_ORTHOGONAL_TOL} at (k={f.k}, u={f.u})")
         cx = ay * bz - az * by
         cy = az * bx - ax * bz
         cz = ax * by - ay * bx
@@ -66,10 +69,10 @@ def _chords(f: PentagonFrame, tol: float) -> list[tuple[float, float, float]]:
     return out
 
 
-def alpha_sequence(f: PentagonFrame, tol: float = 1e-12) -> AlphaCycle:
+def alpha_sequence(f: PentagonFrame) -> AlphaCycle:
     """Squared tangents of the ray gaps; satisfies 1 + a_j = a_{j-2} a_{j+2}."""
     values = []
-    for cross2, dot, _ in _chords(f, tol):
+    for cross2, dot, _ in _chords(f):
         alpha = cross2 / (dot * dot)
         if alpha > ALPHA_MAX:
             raise ChordDegenerateError(
@@ -78,9 +81,9 @@ def alpha_sequence(f: PentagonFrame, tol: float = 1e-12) -> AlphaCycle:
     return AlphaCycle(tuple(values))
 
 
-def beta_sequence(f: PentagonFrame, tol: float = 1e-12) -> tuple[float, ...]:
+def beta_sequence(f: PentagonFrame) -> tuple[float, ...]:
     """Squared sines of the ray gaps: beta_j = alpha_j/(1+alpha_j), strictly < 1."""
-    return tuple(cross2 / norms for cross2, _, norms in _chords(f, tol))
+    return tuple(cross2 / norms for cross2, _, norms in _chords(f))
 
 
 def omega_of_k(k: float) -> float:
@@ -104,6 +107,6 @@ def k_of_omega(omega: float) -> float:
     there, and inside the 1e-10 window around it k is exactly 0.
     """
     if not omega <= OMEGA_MAX:
-        raise DomainError(f"omega={omega!r} beyond omega(MAX_MODULUS) = {OMEGA_MAX!r}: "
+        raise DomainError(f"omega={omega!r} beyond OMEGA_MAX = {OMEGA_MAX!r}: "
                           f"k would exceed MAX_MODULUS = {MAX_MODULUS!r}")
     return cone_spectrum.modulus_from_spectrum(cone_spectrum.solve_characteristic(omega))[0]

@@ -9,7 +9,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from . import napier_uniformization
 from .cone_spectrum import OMEGA_CRITICAL
@@ -19,6 +18,8 @@ from .pentagram_algebra import NapierParts
 
 def quad_F(phi, k):
     """Incomplete first-kind integral by adaptive quadrature."""
+    from scipy.integrate import IntegrationWarning, quad
+
     with warnings.catch_warnings():
         # near k ~ 1 the integrand steepens and quad warns about roundoff
         # while still delivering ~1e-15; the check tolerances absorb that

@@ -18,8 +18,7 @@ GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 ALPHA_MIN = 1e-8
 ALPHA_MAX = 1e8
-RATIONAL_TOL = 1e-12   # identities that are rational in the alphas
-GEOM_TOL = 1e-10       # identities that go through trig evaluations
+GEOM_TOL = 1e-10  # identities that go through trig evaluations
 
 
 @dataclass(frozen=True)
@@ -86,11 +85,6 @@ class AlphaCycle:
             (1.0 + a[i] - a[(i + 2) % 5] * a[(i + 3) % 5]) / (1.0 + a[i])
             for i in range(5)
         )
-
-    def validate(self, tol: float = RATIONAL_TOL) -> None:
-        worst = max(abs(r) for r in self.relation_residuals())
-        if worst > tol:
-            raise InvariantError(f"cycle law violated, residual {worst:.3e}")
 
     def omega(self) -> float:
         prod = 1.0
@@ -177,14 +171,14 @@ def orthogonality_residuals(vertices: np.ndarray) -> tuple[float, ...]:
                  for j in range(5))
 
 
-def build_sphere_vertices(c: AlphaCycle, tol: float = GEOM_TOL) -> SpherePentagon:
+def build_sphere_vertices(c: AlphaCycle) -> SpherePentagon:
     """Place the pentagon on the unit sphere in the standard frame.
 
     P3 = (1,0,0) and P1 = (0,1,0); P5 and P4 follow from sides p3 and p1;
     P2 spans the ray orthogonal to the P4, P5 plane.  The raw coordinates of
     P2 are along the correct ray but not unit length, so it is normalised.
     Raises InvariantError when the cycle is not a genuine pentagon (the
-    orthogonality or cone-membership residuals then exceed tol).
+    orthogonality or cone-membership residuals then exceed GEOM_TOL).
     """
     p1, p2, p3, p4, p5 = sides_from_alphas(c)
     P3 = np.array([1.0, 0.0, 0.0])
@@ -196,9 +190,9 @@ def build_sphere_vertices(c: AlphaCycle, tol: float = GEOM_TOL) -> SpherePentago
     vertices = np.array([P1, P2, P3, P4, P5])
 
     worst = max(abs(r) for r in orthogonality_residuals(vertices))
-    if worst > tol:
+    if worst > GEOM_TOL:
         raise InvariantError(
-            f"vertex orthogonality residual {worst:.3e} exceeds {tol:.1e}; "
+            f"vertex orthogonality residual {worst:.3e} exceeds {GEOM_TOL:.1e}; "
             "the alpha cycle is not a pentagon")
 
     # cone_spectrum imports this module at load time, so import it here
@@ -210,7 +204,7 @@ def build_sphere_vertices(c: AlphaCycle, tol: float = GEOM_TOL) -> SpherePentago
     for v in vertices:
         x, y, z = v
         res = z * z + cone.p * x * z + cone.q * y * z + cone.r * x * y
-        if abs(res) > tol:
-            raise InvariantError(f"cone membership residual {res:.3e} exceeds {tol:.1e}")
+        if abs(res) > GEOM_TOL:
+            raise InvariantError(f"cone membership residual {res:.3e} exceeds {GEOM_TOL:.1e}")
 
     return SpherePentagon(vertices=vertices, sides=sphere_sides(vertices))

@@ -39,13 +39,14 @@ class PonceletTrajectory:
     config: TwoCircleConfig
 
 
-def _check_nesting(c: TwoCircleConfig) -> None:
-    if c.R <= 0.0:
-        raise GeometryError("outer radius must be positive")
-    if c.r <= 0.0:
-        raise GeometryError("inner radius must be positive")
-    if c.a < 0.0:
-        raise GeometryError("centre distance must be nonnegative")
+def validate_config(c: TwoCircleConfig) -> None:
+    """Check that the radii are finite and positive and the circles strictly nested."""
+    if not 0.0 < c.R < math.inf:
+        raise GeometryError(f"outer radius R={c.R!r} must be finite and positive")
+    if not c.r > 0.0:
+        raise GeometryError(f"inner radius r={c.r!r} must be positive")
+    if not c.a >= 0.0:
+        raise GeometryError(f"centre distance a={c.a!r} must be nonnegative")
     if c.a + c.r >= c.R:
         raise GeometryError(
             f"inner circle not strictly nested: a + r = {c.a + c.r!r} >= R = {c.R!r}")
@@ -54,15 +55,9 @@ def _check_nesting(c: TwoCircleConfig) -> None:
             f"outer centre must lie inside the inner circle: a = {c.a!r} >= r = {c.r!r}")
 
 
-def validate_config(c: TwoCircleConfig) -> TwoCircleConfig:
-    """Check nesting constraints; return the configuration rescaled to R = 1."""
-    _check_nesting(c)
-    return TwoCircleConfig(R=1.0, r=c.r / c.R, a=c.a / c.R)
-
-
 def modulus_of_config(c: TwoCircleConfig) -> tuple[float, float]:
     """Elliptic modulus and chord amplitude: k^2 = 4Ra/((R+a)^2 - r^2), cos(alpha) = r/(R+a)."""
-    _check_nesting(c)
+    validate_config(c)
     R, r, a = c.R, c.r, c.a
     k2 = 4.0 * R * a / ((R + a) ** 2 - r ** 2)
     if k2 >= 1.0:
@@ -96,7 +91,7 @@ def chord_step(c: TwoCircleConfig, phi: float, prev: float | None = None) -> flo
     asserted in cross-multiplied form (the tan form has poles on any long
     trajectory).
     """
-    _check_nesting(c)
+    validate_config(c)
     R, r, a = c.R, c.r, c.a
     A = (R + a) * math.cos(phi)
     B = (R - a) * math.sin(phi)
@@ -127,6 +122,8 @@ def trajectory(c: TwoCircleConfig, phi0: float, n: int) -> PonceletTrajectory:
     """n chord steps from phi0; angles are cumulative (never reduced mod 2pi)."""
     if n < 1:
         raise DomainError("need at least one chord step")
+    if not math.isfinite(phi0):
+        raise DomainError(f"starting half-angle phi0={phi0!r} is not finite")
     phis = [float(phi0)]
     prev = None
     for _ in range(n):
@@ -165,8 +162,9 @@ def search_closing_config(n: int, m: int, R: float, r: float) -> TwoCircleConfig
     alpha below pi/2, so the forward rotation number F(alpha)/2K stays
     below 1/2.
     """
-    if R <= 0.0 or r <= 0.0:
-        raise GeometryError("radii must be positive")
+    for name, radius in (("R", R), ("r", r)):
+        if not 0.0 < radius < math.inf:
+            raise GeometryError(f"radius {name}={radius!r} must be finite and positive")
     _check_walk(n, m)
     if 2 * m >= n:
         raise NoSolutionError(

@@ -22,6 +22,7 @@ PI = math.pi
 # gaps with cosine below this are treated as chord-degenerate and skipped
 # (grids at the default seed never trigger it; the policy still applies)
 _GAP_COSINE_FLOOR = 0.1
+_SAMPLES_PER_K = 20
 _MIN_VALID_SAMPLES = 15
 
 
@@ -42,11 +43,11 @@ class _Collector(list):
         self.append(Check(name=name, residual=float(residual), tol=tol, detail=detail))
 
 
-def _grid_frames(rng, ks, per_k=20):
+def _grid_frames(rng, ks):
     """(frame, betas) samples per k with the chord-degenerate skip policy applied."""
     for k in ks:
         quarter = elliptic_kernel.complete_K(k)
-        us = rng.uniform(0.0, 0.8 * quarter, size=per_k)
+        us = rng.uniform(0.0, 0.8 * quarter, size=_SAMPLES_PER_K)
         valid = []
         for u in us:
             frame = napier_uniformization.frame_vectors(k, float(u))
@@ -59,7 +60,7 @@ def _grid_frames(rng, ks, per_k=20):
                 valid.append((frame, betas))
         if len(valid) < _MIN_VALID_SAMPLES:
             raise PentagrammaError(
-                f"too many chord-degenerate samples at k={k}: {len(valid)}/{per_k}")
+                f"too many chord-degenerate samples at k={k}: {len(valid)}/{_SAMPLES_PER_K}")
         yield k, valid
 
 
@@ -86,7 +87,7 @@ def criterion_2(col: _Collector, rng) -> None:
 
 def criterion_3(col: _Collector, rng) -> None:
     """Critical omega and the double root at the regular pentagram."""
-    w0 = cone_spectrum.critical_omega()
+    w0 = cone_spectrum.OMEGA_CRITICAL
     col.add("critical.value", abs(w0 - 11.0901699), 1e-7)
     s = cone_spectrum.solve_characteristic(w0)
     col.add("critical.G", abs(s.G + GOLDEN), 1e-9)

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -56,6 +57,13 @@ class TestPentagram:
     def test_domain_exit_code(self):
         code, _ = run_cli(["pentagram", "--alpha", "-1", "--gamma", "2"])
         assert code == 2
+
+    def test_omega_beyond_top_names_the_bound(self, capsys):
+        # omega = 2e8: a genuine pentagon whose modulus rounds to 1
+        code, output = run_cli(["pentagram", "--alpha", "1e8", "--gamma", "1e8", "--json"])
+        assert (code, output) == (2, "")
+        message = capsys.readouterr().err
+        assert "OMEGA_MAX" in message and "MAX_MODULUS" in message
 
 
 class TestNapier:
@@ -186,6 +194,18 @@ class TestPoncelet:
         code, _ = run_cli(["poncelet", "--R", "1", "--r", "0.5", "--a", "0.6"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv, named", [
+        (["--R", "nan", "--r", "0.3", "--a", "0.1"], "R=nan"),
+        (["--R", "1", "--r", "nan", "--solve", "5", "2"], "r=nan"),
+        (["--R", "1", "--r", "0.5", "--a", "0.2", "--phi0", "nan", "--csv"], "phi0=nan")])
+    def test_non_finite_input_named(self, argv, named, tmp_path, capsys):
+        target = tmp_path / "walk.csv"
+        argv = argv + [str(target)] if argv[-1] == "--csv" else argv
+        code, output = run_cli(["poncelet", *argv])
+        assert (code, output) == (2, "")
+        assert named in capsys.readouterr().err
+        assert not target.exists()
+
     def test_search_failure_exit(self):
         code, _ = run_cli(["poncelet", "--R", "1", "--r", "0.4",
                            "--solve", "5", "2"])
@@ -265,6 +285,28 @@ class TestVerifyAll:
         assert {rec["tol"] for rec in json.loads(output)["residuals"].values()} == {0.0}
 
 
+@pytest.mark.parametrize("argv", [
+    ["napier", "--grid", "--samples", "-1"],
+    ["napier", "--grid", "--seed", "-1"],
+    ["poncelet", "--R", "1", "--r", "0.3", "--solve", "5", "2", "--seed", "-1"],
+    ["verify-all", "--seed", "-2"]])
+def test_negative_count_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        run_cli(argv)
+    assert info.value.code == 2
+    message = capsys.readouterr().err
+    assert message.startswith("usage:") and "is not a non-negative integer" in message
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # quadrature is an oracle of the battery, not a cost of every command
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pentagramma.__file__)))
+    code = "import sys, pentagramma.cli; print('scipy.integrate' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
+
+
 EXIT_CODES = {errors.DomainError: 2, errors.GeometryError: 2,
               errors.SubcriticalError: 4, errors.NoSolutionError: 5}
 ERROR_CLASSES = [cls for cls in vars(errors).values()
@@ -295,3 +337,27 @@ class TestJsonShape:
         _, second = run_cli(["pentagram", "--alpha", "3", "--gamma", "1.5",
                              "--json"])
         assert first == second
+
+
+TEXT_VALUE = re.compile(r"^  (input|output) +(\S+) = (.*)$")
+
+
+@pytest.mark.parametrize("argv", [
+    ["pentagram", "--alpha", "9", "--gamma", "2"],
+    ["napier", "--k", "0.5", "--u", "0.3"],
+    ["bridge", "--omega", "20"],
+    ["poncelet", "--R", "1", "--r", "0.5", "--a", "0.2"],
+    ["verify-all", "--seed", "3"]], ids=lambda argv: argv[0])
+def test_text_values_are_json_tokens(argv):
+    _, text = run_cli(argv)
+    _, document = run_cli([*argv, "--json"])
+    doc = json.loads(document)
+    seen = {"input": set(), "output": set()}
+    for line in text.splitlines():
+        match = TEXT_VALUE.match(line)
+        if match:
+            kind, key, token = match.groups()
+            seen[kind].add(key)
+            assert json.loads(token) == doc[f"{kind}s"][key]
+            assert f'"{key}": {token}' in document
+    assert seen == {"input": set(doc["inputs"]), "output": set(doc["outputs"])}

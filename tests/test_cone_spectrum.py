@@ -5,8 +5,7 @@ import pytest
 
 from pentagramma.cone_spectrum import (OMEGA_CRITICAL, ConeQuadric, SpectralTriple,
                                        characteristic_matrix, cone_coefficients,
-                                       critical_omega, modulus_from_spectrum,
-                                       solve_characteristic)
+                                       modulus_from_spectrum, solve_characteristic)
 from pentagramma.elliptic_kernel import complete_K, jacobi_triple
 from pentagramma.errors import DegenerateError, DomainError, SubcriticalError
 from pentagramma.oracles import characteristic_poly, symmetric_eigenvalues
@@ -61,12 +60,12 @@ class TestCharacteristicMatrix:
 
 class TestCriticalOmega:
     def test_printed_digits(self):
-        assert critical_omega() == pytest.approx(11.0901699, abs=1e-7)
+        assert OMEGA_CRITICAL == pytest.approx(11.0901699, abs=1e-7)
 
     def test_closed_forms(self):
-        assert critical_omega() == pytest.approx(
+        assert OMEGA_CRITICAL == pytest.approx(
             (11 + 5 * math.sqrt(5)) / 2, abs=1e-12)
-        assert critical_omega() == pytest.approx(3 + 5 * GOLDEN, abs=1e-12)
+        assert OMEGA_CRITICAL == pytest.approx(3 + 5 * GOLDEN, abs=1e-12)
 
 
 class TestSolveCharacteristic:

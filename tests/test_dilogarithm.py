@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pentagramma.dilogarithm import (five_cycle, li2, pentagon_five_term,
-                                     rogers_L, spence_residual)
+from pentagramma.dilogarithm import li2, pentagon_five_term, rogers_L, spence_residual
+from pentagramma.elliptic_kernel import complete_K
 from pentagramma.errors import DomainError
-from pentagramma.napier_uniformization import beta_sequence, frame_vectors
+from pentagramma.napier_uniformization import alpha_sequence, beta_sequence, frame_vectors
 from pentagramma.oracles import li2_series
 from pentagramma.pentagram_algebra import GOLDEN
 
@@ -74,38 +74,48 @@ class TestSpence:
 
 
 class TestFiveCycle:
+    """A frame's chord quantities b_n in (0,1) obey b_{n-1} b_{n+1} = 1 - b_n.
+
+    Their companions a_n = b_n/(1-b_n) are the frame's alpha cycle, and the
+    a-law a_{n-2} a_{n+2} = 1 + a_n is the side-cycle law, since -2 == +3 (mod 5).
+    """
+
     def test_golden_fixed_point(self):
         x = 1 / GOLDEN  # solves x = 1 - x^2
-        cycle = five_cycle(x, x)
-        assert cycle.b == pytest.approx((x,) * 5, abs=1e-14)
-        assert cycle.a == pytest.approx((GOLDEN,) * 5, abs=1e-12)
+        frame = frame_vectors(0.0, 0.37)
+        assert beta_sequence(frame) == pytest.approx((x,) * 5, abs=1e-14)
+        assert alpha_sequence(frame).alphas == pytest.approx((GOLDEN,) * 5, abs=1e-12)
 
     def test_reference_pair(self):
-        cycle = five_cycle(0.2, 0.7)
-        assert max(abs(r) for r in cycle.b_residuals()) < 1e-13
-        assert max(abs(r) for r in cycle.a_residuals()) < 1e-13
+        b = beta_sequence(frame_vectors(0.2, 0.7))
+        a = [bn / (1 - bn) for bn in b]
+        assert max(abs(b[n - 1] * b[(n + 1) % 5] - (1 - b[n])) for n in range(5)) < 1e-13
+        assert max(abs(a[n - 2] * a[(n + 2) % 5] - (1 + a[n])) for n in range(5)) < 1e-13
 
-    @given(unit_interval, unit_interval)
+    @given(st.floats(0.0, 0.99), st.floats(-4.0, 4.0))
     @settings(max_examples=300)
-    def test_cyclic_laws(self, x, y):
-        cycle = five_cycle(x, y)
-        assert max(abs(r) for r in cycle.b_residuals()) < 1e-13
-        # near the domain corners the a values reach ~1/(1-b); scale out the
-        # product magnitude so the check measures ulps, not dynamic range
-        for n, res in enumerate(cycle.a_residuals()):
-            assert abs(res) / (1.0 + cycle.a[n]) < 1e-10
+    def test_cyclic_laws(self, k, turns):
+        frame = frame_vectors(k, turns * complete_K(k))
+        b = beta_sequence(frame)
+        a = alpha_sequence(frame).alphas
+        assert max(abs(b[n - 1] * b[(n + 1) % 5] - (1 - b[n])) for n in range(5)) < 1e-13
+        # near k = 1 the a values reach ~1/(1-b); scale out the product
+        # magnitude so the check measures ulps, not dynamic range
+        for n in range(5):
+            assert abs(a[n - 2] * a[(n + 2) % 5] - (1 + a[n])) / (1 + a[n]) < 1e-10
 
-    @given(unit_interval, unit_interval)
+    @given(st.floats(0.0, 0.99), st.floats(-4.0, 4.0))
     @settings(max_examples=200)
-    def test_rogers_sum(self, x, y):
-        cycle = five_cycle(x, y)
-        total = sum(rogers_L(b) for b in cycle.b)
+    def test_rogers_sum(self, k, turns):
+        b = beta_sequence(frame_vectors(k, turns * complete_K(k)))
+        total = sum(rogers_L(bn) for bn in b)
         assert total == pytest.approx(math.pi ** 2 / 2, abs=1e-12)
 
     def test_a_cycle_matches_pentagon_law(self):
-        # a_{n-2} a_{n+2} = 1 + a_n is the side-cycle law: -2 == +3 (mod 5)
-        cycle = five_cycle(0.3, 0.55)
-        a = cycle.a
+        # the b-companions are the alphas, which obey the side-cycle law
+        frame = frame_vectors(0.3, 0.55)
+        a = [bn / (1 - bn) for bn in beta_sequence(frame)]
+        assert a == pytest.approx(alpha_sequence(frame).alphas, rel=1e-14)
         for n in range(5):
             assert a[(n + 2) % 5] * a[(n + 3) % 5] == pytest.approx(
                 1 + a[n], abs=1e-12)
@@ -121,7 +131,6 @@ class TestPentagonFiveTerm:
         assert abs(pentagon_five_term(betas)) < 1e-10
 
     def test_grid(self, rng):
-        from pentagramma.elliptic_kernel import complete_K
         worst = 0.0
         for k in [0.1 * i for i in range(10)]:
             quarter = complete_K(k)
@@ -139,7 +148,6 @@ class TestPentagonFiveTerm:
 
     def test_frame_betas_match_alpha_route(self):
         # the cycle built from any frame's alphas reproduces its betas
-        from pentagramma.napier_uniformization import alpha_sequence
         frame = frame_vectors(0.6, 0.21)
         alphas = alpha_sequence(frame).alphas
         betas = beta_sequence(frame)

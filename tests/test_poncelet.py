@@ -14,8 +14,7 @@ from pentagramma.poncelet import (TwoCircleConfig, chord_step, closure_residual,
 
 class TestValidateConfig:
     def test_valid(self):
-        scaled = validate_config(TwoCircleConfig(2.0, 1.0, 0.4))
-        assert scaled == TwoCircleConfig(1.0, 0.5, 0.2)
+        assert validate_config(TwoCircleConfig(2.0, 1.0, 0.4)) is None
 
     def test_centre_outside_inner(self):
         with pytest.raises(GeometryError):
@@ -28,6 +27,17 @@ class TestValidateConfig:
     def test_bad_radii(self):
         with pytest.raises(GeometryError):
             validate_config(TwoCircleConfig(1.0, -0.5, 0.2))
+
+    @pytest.mark.parametrize("config, named", [
+        (TwoCircleConfig(math.nan, 0.3, 0.1), "R=nan"),
+        (TwoCircleConfig(math.inf, 0.3, 0.1), "R=inf"),
+        (TwoCircleConfig(1.0, math.nan, 0.1), "r=nan"),
+        (TwoCircleConfig(1.0, 0.3, math.nan), "a=nan")])
+    def test_non_finite_input_named(self, config, named):
+        with pytest.raises(GeometryError, match=re.escape(named)):
+            validate_config(config)
+        with pytest.raises(GeometryError, match=re.escape(named)):
+            modulus_of_config(config)
 
 
 class TestModulus:
@@ -135,6 +145,11 @@ class TestTrajectory:
         with pytest.raises(DomainError):
             trajectory(TwoCircleConfig(1.0, 0.5, 0.2), 0.0, 0)
 
+    @pytest.mark.parametrize("phi0", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start_named(self, phi0):
+        with pytest.raises(DomainError, match=re.escape(f"phi0={phi0!r}")):
+            trajectory(TwoCircleConfig(1.0, 0.5, 0.2), phi0, 5)
+
 
 class TestClosureResidual:
     def test_concentric_exact_zero(self):
@@ -170,6 +185,12 @@ class TestSearchClosingConfig:
         for phi0 in rng.uniform(0.0, 2 * math.pi, size=5):
             walk = trajectory(config, float(phi0), 4).phis
             assert walk[-1] - walk[0] == pytest.approx(math.pi, abs=1e-8)
+
+    @pytest.mark.parametrize("R, r, named", [(math.nan, 0.3, "R=nan"), (math.inf, 0.3, "R=inf"),
+                                             (1.0, math.nan, "r=nan"), (1.0, -0.3, "r=-0.3")])
+    def test_bad_radius_named(self, R, r, named):
+        with pytest.raises(GeometryError, match=re.escape(named)):
+            search_closing_config(5, 2, R, r)
 
     def test_oversized_inner_circle(self):
         # a 5/2 star cannot touch an inner circle beyond ~0.31 R
