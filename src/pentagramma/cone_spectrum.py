@@ -22,6 +22,10 @@ OMEGA_CRITICAL = GOLDEN ** 5  # = (11 + 5 sqrt 5)/2, the least omega: the regula
 # exactly to dodge catastrophic cancellation in the modulus formula
 _NEAR_CRITICAL = 1e-10
 _SUBCRITICAL_SLACK = 1e-12
+# the top of the solver's domain: the middle root G' = 1 + 1/omega + ... is
+# resolved to an ulp up to here; beyond it the Newton polish loses G' (error
+# 7e-15 by 1e68, 0.5 by 1e92) until it rounds to 0 from about 7.9e96
+OMEGA_TOP = 1e64
 
 
 @dataclass(frozen=True)
@@ -88,12 +92,17 @@ def solve_characteristic(omega: float) -> SpectralTriple:
 
     Closed-form trigonometric solution of the depressed cubic, then a Newton
     polish per root.  Inside the +-1e-10 window around the critical omega the
-    exact double root is returned instead.
+    exact double root is returned instead.  The domain is omega in
+    [OMEGA_CRITICAL, OMEGA_TOP]: SubcriticalError below it, DomainError above
+    it and for nan.
     """
     if omega < OMEGA_CRITICAL - _SUBCRITICAL_SLACK:
         raise SubcriticalError(
             f"omega={omega!r} below the critical value {OMEGA_CRITICAL!r}: "
             "only one real root exists")
+    if not omega <= OMEGA_TOP:
+        raise DomainError(f"omega={omega!r} beyond OMEGA_TOP = {OMEGA_TOP!r}: the middle "
+                          "root 1 + O(1/omega) is no longer resolved")
     if omega - OMEGA_CRITICAL < _NEAR_CRITICAL:
         half_sq = GOLDEN * GOLDEN / 2.0
         return SpectralTriple(G=-GOLDEN, Gp=half_sq, Gpp=half_sq, omega=omega)

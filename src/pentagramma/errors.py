@@ -38,7 +38,7 @@ class NoTangentError(PentagrammaError):
 
 
 class NoSolutionError(PentagrammaError):
-    """A parameter search found no sign change on its bracket."""
+    """A parameter search has no root: a feasibility bound fails or its bracket yields none."""
 
 
 class SingularError(PentagrammaError):

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .elliptic_kernel import incomplete_F
 from .errors import (DomainError, GeometryError, InvariantError, NoSolutionError,
@@ -151,16 +150,67 @@ def closure_residual(c: TwoCircleConfig, n: int, m: int) -> float:
     return incomplete_F(alpha, k) - (m / n) * incomplete_F(math.pi, k)
 
 
+# Brent's bracket tolerances: the root is returned within xtol + rtol*|a|
+_XTOL = 1e-15
+_RTOL = 8.9e-16
+_MAXITER = 100
+
+
+def _brent(f, xpre: float, xcur: float, fpre: float, fcur: float) -> float:
+    """Root of f between xpre and xcur, given end values fpre and fcur of opposite sign.
+
+    Brent's method (Algorithms for Minimization without Derivatives, 1973,
+    ch. 4), step for step as in scipy.optimize's C routine: a secant or
+    inverse-quadratic step when it stays well inside the bracket and shrinks
+    it fast enough, bisection otherwise.  xcur is the best estimate, xblk the
+    other end of the bracket; spre and scur are the last two steps.  A nan
+    residual or a bracket not closed in _MAXITER steps is a NoSolutionError.
+    """
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_XTOL + _RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic through all three points
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = f(xcur)
+        if math.isnan(fcur):
+            raise NoSolutionError(f"residual is nan at {xcur!r}; the search cannot continue")
+    raise NoSolutionError(f"bracket search did not converge in {_MAXITER} steps; "
+                          f"last estimate {xcur!r}")
+
+
 def search_closing_config(n: int, m: int, R: float, r: float) -> TwoCircleConfig:
-    """Centre distance making the (n, m) walk close, by bracketed root search.
+    """Centre distance making the (n, m) walk close, by Brent's bracketed search.
 
     The bracket [0, min(r, R-r)) keeps every probed configuration valid.
-    Raises NoSolutionError when the closure residual does not change sign
-    there — for star polygons that happens whenever the inner circle is too
-    large (e.g. a 5/2 star needs r below about 0.31 R).  A walk with
-    2m >= n is refused before any evaluation: cos(alpha) = r/(R+a) > 0 puts
-    alpha below pi/2, so the forward rotation number F(alpha)/2K stays
-    below 1/2.
+    Two bounds are named before any evaluation.  A walk with 2m >= n never
+    closes: cos(alpha) = r/(R+a) > 0 puts alpha below pi/2, so the forward
+    rotation number F(alpha)/2K stays below 1/2.  Nor does one with
+    r >= R cos(pi m/n): the rotation number peaks at the concentric pair
+    a = 0, where it is arccos(r/R)/pi (e.g. a 5/2 star needs r below about
+    0.31 R).  Otherwise NoSolutionError is raised when the closure residual
+    does not change sign on the bracket.
     """
     for name, radius in (("R", R), ("r", r)):
         if not 0.0 < radius < math.inf:
@@ -171,6 +221,12 @@ def search_closing_config(n: int, m: int, R: float, r: float) -> TwoCircleConfig
             f"(n={n}, m={m}) needs rotation number m/n >= 1/2, but the forward "
             f"walk's rotation number F(alpha)/2K is below 1/2 for every nested "
             f"pair of circles; ({n}, {n - m}) is the same polygon walked backwards")
+    concentric = R * math.cos(math.pi * m / n)
+    if r >= concentric:
+        raise NoSolutionError(
+            f"inner radius r={r!r} is at or beyond the concentric limit "
+            f"R cos(pi m/n) = {concentric!r} for (n={n}, m={m}, R={R!r}); the "
+            f"rotation number peaks at a = 0, so there is no closing configuration")
     upper = min(r, R - r) - 1e-9 * R
     if upper <= 0.0:
         raise NoSolutionError("no admissible centre-distance bracket")
@@ -184,7 +240,6 @@ def search_closing_config(n: int, m: int, R: float, r: float) -> TwoCircleConfig
     hi = res(upper)
     if math.copysign(1.0, lo) == math.copysign(1.0, hi):
         raise NoSolutionError(
-            f"closure residual keeps sign {lo:+.3e} .. {hi:+.3e} for "
-            f"(n={n}, m={m}, R={R}, r={r}): no closing configuration")
-    a = brentq(res, 0.0, upper, xtol=1e-15, rtol=8.9e-16)
-    return TwoCircleConfig(R=R, r=r, a=a)
+            f"closure residual keeps sign {lo:+.3e} .. {hi:+.3e} on the bracket "
+            f"a in [0, {upper!r}] for (n={n}, m={m}, R={R}, r={r}): no closing configuration")
+    return TwoCircleConfig(R=R, r=r, a=_brent(res, 0.0, upper, lo, hi))

@@ -1,9 +1,11 @@
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from pentagramma.cone_spectrum import (OMEGA_CRITICAL, ConeQuadric, SpectralTriple,
+from pentagramma.cone_spectrum import (OMEGA_CRITICAL, OMEGA_TOP, ConeQuadric, SpectralTriple,
                                        characteristic_matrix, cone_coefficients,
                                        modulus_from_spectrum, solve_characteristic)
 from pentagramma.elliptic_kernel import complete_K, jacobi_triple
@@ -97,6 +99,30 @@ class TestSolveCharacteristic:
             assert s.G < 0.0 < s.Gp <= s.Gpp
             if omega > OMEGA_CRITICAL + 1e-9:
                 assert s.Gp > 1.0
+
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, OMEGA_TOP * 1.0000001, 7.9e96, 1e300])
+    def test_beyond_top_named(self, omega):
+        with pytest.raises(DomainError, match=re.escape(f"omega={omega!r} beyond OMEGA_TOP")):
+            solve_characteristic(omega)
+
+    def test_domain_top_sweep(self):
+        # every omega gets three roots, each within 4 ulps of a sign change of
+        # the exact cubic, or is refused above OMEGA_TOP; none breaks an invariant
+        def cubic(t, omega):
+            t, w = Fraction(t), Fraction(omega)
+            return ((4 * t - 4) * t + (1 - w)) * t + w
+
+        for omega in np.logspace(5, 300, 20_001):
+            omega = float(omega)
+            try:
+                s = solve_characteristic(omega)
+            except DomainError:
+                assert omega > OMEGA_TOP
+                continue
+            assert s.G < 0.0 < s.Gp < s.Gpp, omega
+            for t in (s.G, s.Gp, s.Gpp):
+                slack = 4 * math.ulp(t)
+                assert cubic(t - slack, omega) * cubic(t + slack, omega) <= 0, (omega, t)
 
     def test_near_critical_continuity(self):
         # just above the exact-double-root window the full solve must agree

@@ -165,6 +165,21 @@ class TestClosureResidual:
             closure_residual(TwoCircleConfig(1.0, 0.5, 0.2), 2, 1)
 
 
+def _no_evaluation(*args):
+    raise AssertionError("closure residual evaluated")
+
+
+def _brentq_distance(n, m, R, r):
+    # the reference root: scipy's brentq on the same bracket and tolerances
+    from scipy.optimize import brentq
+    return brentq(lambda a: closure_residual(TwoCircleConfig(R, r, a), n, m),
+                  0.0, min(r, R - r) - 1e-9 * R, xtol=1e-15, rtol=8.9e-16)
+
+
+def _ulps(x, y):
+    return abs(x - y) / math.ulp(max(abs(x), abs(y)))
+
+
 class TestSearchClosingConfig:
     def test_triangle_matches_euler_formula(self):
         # for one chord per turn and three chords the centre distance obeys
@@ -197,13 +212,27 @@ class TestSearchClosingConfig:
         with pytest.raises(NoSolutionError):
             search_closing_config(5, 2, 1.0, 0.4)
 
+    @pytest.mark.parametrize("n, m, r", [(5, 2, 0.4), (7, 3, 0.3)])
+    def test_concentric_bound_named_before_evaluation(self, n, m, r, monkeypatch):
+        # the rotation number peaks at a = 0, where arccos(r/R)/pi < m/n
+        monkeypatch.setattr(poncelet, "closure_residual", _no_evaluation)
+        with pytest.raises(NoSolutionError) as info:
+            search_closing_config(n, m, 1.0, r)
+        message = str(info.value)
+        assert f"inner radius r={r!r}" in message
+        assert f"R cos(pi m/n) = {math.cos(math.pi * m / n)!r}" in message
+        assert "no closing configuration" in message
+
+    def test_bracket_edge_named(self):
+        # below the concentric limit, but the closing distance would need a >= r
+        with pytest.raises(NoSolutionError, match=re.escape("on the bracket a in [0, ")) as info:
+            search_closing_config(5, 1, 1.0, 0.3)
+        assert "keeps sign" in str(info.value) and "no closing configuration" in str(info.value)
+
     @pytest.mark.parametrize("n, m", [(5, 4), (5, 3), (4, 2), (7, 4)])
     def test_half_turn_bound_named_before_evaluation(self, n, m, monkeypatch):
         # F(alpha) < K for every nested pair, so m/n >= 1/2 never closes
-        def no_evaluation(*args):
-            raise AssertionError("closure residual evaluated")
-
-        monkeypatch.setattr(poncelet, "closure_residual", no_evaluation)
+        monkeypatch.setattr(poncelet, "closure_residual", _no_evaluation)
         with pytest.raises(NoSolutionError, match=r"F\(alpha\)/2K is below 1/2") as info:
             search_closing_config(n, m, 1.0, 0.1)
         assert f"({n}, {n - m}) is the same polygon walked backwards" in str(info.value)
@@ -215,3 +244,54 @@ class TestSearchClosingConfig:
             walk = trajectory(config, float(phi0), 5).phis
             closures.append(walk[-1] - walk[0] - 2 * math.pi)
         assert max(abs(c) for c in closures) < 1e-8
+
+    # (n, m, r) of the closing walks in the poncelet_walk benchmark
+    @pytest.mark.parametrize("n, m, r", [(3, 1, 0.45), (4, 1, 0.6), (5, 1, 0.7), (6, 1, 0.8),
+                                         (5, 2, 0.3), (7, 2, 0.6), (8, 3, 0.35)])
+    def test_root_matches_brentq(self, n, m, r):
+        assert _ulps(search_closing_config(n, m, 1.0, r).a, _brentq_distance(n, m, 1.0, r)) <= 4
+
+    def test_random_roots_match_brentq(self):
+        rng = np.random.default_rng(20111106)
+        closing = 0
+        for _ in range(300):
+            n = int(rng.integers(3, 13))
+            m = int(rng.integers(1, (n + 1) // 2))
+            R = float(rng.uniform(0.5, 3.0))
+            r = R * float(rng.uniform(0.02, math.cos(math.pi * m / n)))
+            try:
+                a = search_closing_config(n, m, R, r).a
+            except NoSolutionError as exc:
+                assert "keeps sign" in str(exc), (n, m, R, r)
+                continue
+            closing += 1
+            assert _ulps(a, _brentq_distance(n, m, R, r)) <= 4, (n, m, R, r)
+        assert closing >= 50
+
+    def test_endpoints_evaluated_once(self, monkeypatch):
+        probed = []
+
+        def recording(c, n, m):
+            probed.append(c.a)
+            return closure_residual(c, n, m)
+
+        monkeypatch.setattr(poncelet, "closure_residual", recording)
+        search_closing_config(5, 2, 1.0, 0.3)
+        assert len(probed) == len(set(probed)) > 2
+
+    def test_non_converging_bracket_raises(self):
+        # a jump at 1 in [0, 1e300] needs about a thousand halvings to reach
+        # the tolerance; the search stops at its step limit instead
+        probed = []
+
+        def step(x):
+            probed.append(x)
+            return -1.0 if x < 1.0 else 1.0
+
+        with pytest.raises(NoSolutionError, match="did not converge in 100 steps"):
+            poncelet._brent(step, 0.0, 1e300, -1.0, 1.0)
+        assert len(probed) == 100
+
+    def test_nan_residual_raises(self):
+        with pytest.raises(NoSolutionError, match="residual is nan at 1.0"):
+            poncelet._brent(lambda x: math.nan, 0.0, 2.0, -1.0, 1.0)
