@@ -204,13 +204,13 @@ def search_closing_config(n: int, m: int, R: float, r: float) -> TwoCircleConfig
     """Centre distance making the (n, m) walk close, by Brent's bracketed search.
 
     The bracket [0, min(r, R-r)) keeps every probed configuration valid.
-    Two bounds are named before any evaluation.  A walk with 2m >= n never
-    closes: cos(alpha) = r/(R+a) > 0 puts alpha below pi/2, so the forward
-    rotation number F(alpha)/2K stays below 1/2.  Nor does one with
-    r >= R cos(pi m/n): the rotation number peaks at the concentric pair
-    a = 0, where it is arccos(r/R)/pi (e.g. a 5/2 star needs r below about
-    0.31 R).  Otherwise NoSolutionError is raised when the closure residual
-    does not change sign on the bracket.
+    A walk with 2m >= n is refused before any evaluation: cos(alpha) =
+    r/(R+a) > 0 puts alpha below pi/2, so the forward rotation number
+    F(alpha)/2K stays below 1/2.  Otherwise NoSolutionError is raised when
+    the closure residual does not change sign on the bracket, naming the
+    bound that is violated: the concentric limit r < R cos(pi m/n), where
+    the rotation number peaks at a = 0 with arccos(r/R)/pi (e.g. a 5/2
+    star needs r below about 0.31 R), or else the bracket edge.
     """
     for name, radius in (("R", R), ("r", r)):
         if not 0.0 < radius < math.inf:
@@ -221,12 +221,6 @@ def search_closing_config(n: int, m: int, R: float, r: float) -> TwoCircleConfig
             f"(n={n}, m={m}) needs rotation number m/n >= 1/2, but the forward "
             f"walk's rotation number F(alpha)/2K is below 1/2 for every nested "
             f"pair of circles; ({n}, {n - m}) is the same polygon walked backwards")
-    concentric = R * math.cos(math.pi * m / n)
-    if r >= concentric:
-        raise NoSolutionError(
-            f"inner radius r={r!r} is at or beyond the concentric limit "
-            f"R cos(pi m/n) = {concentric!r} for (n={n}, m={m}, R={R!r}); the "
-            f"rotation number peaks at a = 0, so there is no closing configuration")
     upper = min(r, R - r) - 1e-9 * R
     if upper <= 0.0:
         raise NoSolutionError("no admissible centre-distance bracket")
@@ -239,6 +233,12 @@ def search_closing_config(n: int, m: int, R: float, r: float) -> TwoCircleConfig
         return TwoCircleConfig(R=R, r=r, a=0.0)
     hi = res(upper)
     if math.copysign(1.0, lo) == math.copysign(1.0, hi):
+        concentric = R * math.cos(math.pi * m / n)
+        if r > concentric:
+            raise NoSolutionError(
+                f"inner radius r={r!r} is beyond the concentric limit "
+                f"R cos(pi m/n) = {concentric!r} for (n={n}, m={m}, R={R!r}); the "
+                f"rotation number peaks at a = 0, so there is no closing configuration")
         raise NoSolutionError(
             f"closure residual keeps sign {lo:+.3e} .. {hi:+.3e} on the bracket "
             f"a in [0, {upper!r}] for (n={n}, m={m}, R={R}, r={r}): no closing configuration")

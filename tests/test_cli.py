@@ -206,10 +206,11 @@ class TestPoncelet:
         assert named in capsys.readouterr().err
         assert not target.exists()
 
-    def test_search_failure_exit(self):
+    def test_search_failure_exit(self, capsys):
         code, _ = run_cli(["poncelet", "--R", "1", "--r", "0.4",
                            "--solve", "5", "2"])
         assert code == 5
+        assert "concentric limit R cos(pi m/n) = 0.30901699437494745" in capsys.readouterr().err
 
     def test_half_turn_walk_names_its_bound(self, capsys):
         code, output = run_cli(["poncelet", "--R", "1", "--r", "0.3", "--solve", "5", "4"])

@@ -100,6 +100,12 @@ class TestSolveCharacteristic:
             if omega > OMEGA_CRITICAL + 1e-9:
                 assert s.Gp > 1.0
 
+    def test_product_identities_up_to_stated_limit(self):
+        # product_residuals documents 1e-10 up to omega = 1e6
+        for omega in np.geomspace(OMEGA_CRITICAL, 1e6, 2000):
+            s = solve_characteristic(float(omega))
+            assert max(abs(r) for r in s.product_residuals()) < 1e-10, omega
+
     @pytest.mark.parametrize("omega", [math.nan, math.inf, OMEGA_TOP * 1.0000001, 7.9e96, 1e300])
     def test_beyond_top_named(self, omega):
         with pytest.raises(DomainError, match=re.escape(f"omega={omega!r} beyond OMEGA_TOP")):

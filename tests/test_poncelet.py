@@ -213,15 +213,29 @@ class TestSearchClosingConfig:
             search_closing_config(5, 2, 1.0, 0.4)
 
     @pytest.mark.parametrize("n, m, r", [(5, 2, 0.4), (7, 3, 0.3)])
-    def test_concentric_bound_named_before_evaluation(self, n, m, r, monkeypatch):
-        # the rotation number peaks at a = 0, where arccos(r/R)/pi < m/n
-        monkeypatch.setattr(poncelet, "closure_residual", _no_evaluation)
+    def test_concentric_bound_named(self, n, m, r, monkeypatch):
+        # the rotation number peaks at a = 0, where arccos(r/R)/pi < m/n; the
+        # bound is named once both bracket ends have been evaluated
+        probed = []
+
+        def recording(c, n, m):
+            probed.append(c.a)
+            return closure_residual(c, n, m)
+
+        monkeypatch.setattr(poncelet, "closure_residual", recording)
         with pytest.raises(NoSolutionError) as info:
             search_closing_config(n, m, 1.0, r)
         message = str(info.value)
         assert f"inner radius r={r!r}" in message
         assert f"R cos(pi m/n) = {math.cos(math.pi * m / n)!r}" in message
         assert "no closing configuration" in message
+        assert len(probed) == 2
+
+    @pytest.mark.parametrize("n, m", [(5, 2), (7, 3)])
+    @pytest.mark.parametrize("R", [1.0, 2.0])
+    def test_star_closes_at_the_concentric_limit(self, n, m, R):
+        # r = R cos(pi m/n) exactly: the concentric pair is the regular {n/m} star
+        assert search_closing_config(n, m, R, R * math.cos(math.pi * m / n)).a < 1e-12
 
     def test_bracket_edge_named(self):
         # below the concentric limit, but the closing distance would need a >= r
