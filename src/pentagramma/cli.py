@@ -441,6 +441,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report_error(args, out, exc: PentagrammaError, label: str, code: int) -> int:
+    """Name a typed error on stderr and, under --json, as a JSON document on out."""
+    print(f"{label}: {exc}", file=sys.stderr)
+    if args.json:
+        inputs = {key: value for key, value in vars(args).items()
+                  if key not in ("func", "json", "subcommand") and value is not None}
+        out.write(_to_json({"command": args.subcommand, "error": type(exc).__name__,
+                            "inputs": inputs, "message": str(exc),
+                            "status": "error"}) + "\n")
+    return code
+
+
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     args = build_parser().parse_args(argv)
@@ -448,17 +460,13 @@ def main(argv=None, out=None) -> int:
         args.tol = _tol_override(args)
         report = args.func(args, out)
     except (DomainError, GeometryError) as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return _EXIT_DOMAIN
+        return _report_error(args, out, exc, "domain error", _EXIT_DOMAIN)
     except SubcriticalError as exc:
-        print(f"subcritical: {exc}", file=sys.stderr)
-        return _EXIT_SUBCRITICAL
+        return _report_error(args, out, exc, "subcritical", _EXIT_SUBCRITICAL)
     except NoSolutionError as exc:
-        print(f"search failed: {exc}", file=sys.stderr)
-        return _EXIT_SEARCH
+        return _report_error(args, out, exc, "search failed", _EXIT_SEARCH)
     except PentagrammaError as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return _EXIT_INVARIANT
+        return _report_error(args, out, exc, "invariant violation", _EXIT_INVARIANT)
     if report is None:
         return 0
     if args.func is not cmd_verify_all:  # verify-all applies it per criterion

@@ -100,11 +100,19 @@ def chord_betas(p):
     return tuple(out)
 
 
-def li2_series(x, terms=200000):
-    """Direct partial summation of the defining series."""
+# the most terms li2_series sums; x = 0.99 meets its 1e-18 cut after about 2,600
+_LI2_SERIES_TERMS = 200000
+
+
+def li2_series(x):
+    """Li2(x) = sum x^n / n^2 by direct partial summation of the defining series.
+
+    The independent route for li2, which sums the Bernoulli series in
+    z = -ln(1 - x) instead.
+    """
     total = 0.0
     term = x
-    for n in range(1, terms + 1):
+    for n in range(1, _LI2_SERIES_TERMS + 1):
         inc = term / (n * n)
         total += inc
         term *= x

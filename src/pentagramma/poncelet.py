@@ -154,6 +154,8 @@ def closure_residual(c: TwoCircleConfig, n: int, m: int) -> float:
 _XTOL = 1e-15
 _RTOL = 8.9e-16
 _MAXITER = 100
+# a = 0 residual accepted as a closure at the concentric limit, in ulps of pi
+_CONCENTRIC_ULPS = 4
 
 
 def _brent(f, xpre: float, xcur: float, fpre: float, fcur: float) -> float:
@@ -210,7 +212,9 @@ def search_closing_config(n: int, m: int, R: float, r: float) -> TwoCircleConfig
     the closure residual does not change sign on the bracket, naming the
     bound that is violated: the concentric limit r < R cos(pi m/n), where
     the rotation number peaks at a = 0 with arccos(r/R)/pi (e.g. a 5/2
-    star needs r below about 0.31 R), or else the bracket edge.
+    star needs r below about 0.31 R), or else the bracket edge.  At the
+    concentric limit itself the regular star a = 0 is returned, its residual
+    within a few ulps of pi of zero.
     """
     for name, radius in (("R", R), ("r", r)):
         if not 0.0 < radius < math.inf:
@@ -233,6 +237,10 @@ def search_closing_config(n: int, m: int, R: float, r: float) -> TwoCircleConfig
         return TwoCircleConfig(R=R, r=r, a=0.0)
     hi = res(upper)
     if math.copysign(1.0, lo) == math.copysign(1.0, hi):
+        # at r = R cos(pi m/n) the regular star closes at a = 0, where F(pi, 0)
+        # = pi, but its residual can round to a fraction of an ulp of pi below 0
+        if abs(lo) <= _CONCENTRIC_ULPS * math.ulp(math.pi):
+            return TwoCircleConfig(R=R, r=r, a=0.0)
         concentric = R * math.cos(math.pi * m / n)
         if r > concentric:
             raise NoSolutionError(

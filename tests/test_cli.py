@@ -21,6 +21,16 @@ def run_cli(argv):
     return code, buffer.getvalue()
 
 
+def assert_error_document(output, command, error, stderr_text):
+    """The one-line JSON error document of a --json run; its message is the stderr text's."""
+    assert output.endswith("\n") and output.count("\n") == 1
+    doc = json.loads(output)
+    assert list(doc) == sorted(doc)
+    assert (doc["command"], doc["error"], doc["status"]) == (command, error, "error")
+    assert stderr_text.endswith(f": {doc['message']}\n")
+    return doc
+
+
 def failing_checks(doc):
     return [name for name, rec in doc["residuals"].items()
             if not isinstance(rec["value"], (int, float)) or rec["value"] > rec["tol"]]
@@ -61,9 +71,10 @@ class TestPentagram:
     def test_omega_beyond_top_names_the_bound(self, capsys):
         # omega = 2e8: a genuine pentagon whose modulus rounds to 1
         code, output = run_cli(["pentagram", "--alpha", "1e8", "--gamma", "1e8", "--json"])
-        assert (code, output) == (2, "")
+        assert code == 2
         message = capsys.readouterr().err
         assert "OMEGA_MAX" in message and "MAX_MODULUS" in message
+        assert_error_document(output, "pentagram", "DomainError", message)
 
 
 class TestNapier:
@@ -154,9 +165,11 @@ class TestBridge:
     @pytest.mark.parametrize("omega", ["1e6", "1e12"])
     def test_omega_beyond_top_names_the_bound(self, omega, capsys):
         code, output = run_cli(["bridge", "--omega", omega, "--json"])
-        assert (code, output) == (2, "")
+        assert code == 2
         message = capsys.readouterr().err
         assert f"omega={float(omega)!r}" in message and "MAX_MODULUS" in message
+        doc = assert_error_document(output, "bridge", "DomainError", message)
+        assert doc["inputs"] == {"omega": float(omega)}
 
 
 class TestPoncelet:
@@ -276,8 +289,11 @@ class TestVerifyAll:
 
     def test_negative_tol_rejected(self, capsys):
         code, output = run_cli(["verify-all", "--tol=-1e-12", "--json"])
-        assert (code, output) == (2, "")
-        assert "--tol" in capsys.readouterr().err
+        assert code == 2
+        message = capsys.readouterr().err
+        assert "--tol" in message
+        doc = assert_error_document(output, "verify-all", "DomainError", message)
+        assert doc["inputs"] == {"seed": 0, "tol": -1e-12}
 
     def test_zero_tolerance_accepted(self, monkeypatch):
         monkeypatch.setenv("PENTAGRAMMA_TOL", "0")
@@ -322,8 +338,30 @@ def test_exit_code_table(error, monkeypatch):
         raise error("raised for the exit-code table")
 
     monkeypatch.setattr(cli, "cmd_bridge", raise_error)
-    code, output = run_cli(["bridge", "--omega", "20", "--json"])
+    code, output = run_cli(["bridge", "--omega", "20"])
     assert (code, output) == (EXIT_CODES.get(error, 3), "")
+    code, output = run_cli(["bridge", "--omega", "20", "--json"])
+    assert code == EXIT_CODES.get(error, 3)
+    assert json.loads(output) == {"command": "bridge", "error": error.__name__,
+                                  "inputs": {"omega": 20.0},
+                                  "message": "raised for the exit-code table",
+                                  "status": "error"}
+
+
+@pytest.mark.parametrize("argv, code, error, inputs", [
+    (["bridge", "--omega", "5"], 4, "SubcriticalError", {"omega": 5.0}),
+    (["poncelet", "--R", "1", "--r", "0.4", "--solve", "5", "2"], 5, "NoSolutionError",
+     {"R": 1.0, "r": 0.4, "a": 0.0, "phi0": 0.0, "seed": 0, "solve": [5, 2], "steps": 30})],
+    ids=["bridge", "poncelet"])
+def test_error_reaches_json_consumers(argv, code, error, inputs, capsys):
+    # stdout carried nothing for these under --json; the stderr text is unchanged
+    assert run_cli(argv) == (code, "")
+    text_err = capsys.readouterr().err
+    exit_code, output = run_cli([*argv, "--json"])
+    assert exit_code == code
+    assert capsys.readouterr().err == text_err
+    doc = assert_error_document(output, argv[0], error, text_err)
+    assert doc["inputs"] == inputs
 
 
 class TestJsonShape:

@@ -1,9 +1,14 @@
 import math
+import sys
+from fractions import Fraction
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pentagramma import dilogarithm
 from pentagramma.dilogarithm import li2, pentagon_five_term, rogers_L, spence_residual
 from pentagramma.elliptic_kernel import complete_K
 from pentagramma.errors import DomainError
@@ -13,6 +18,34 @@ from pentagramma.pentagram_algebra import GOLDEN
 
 unit_interval = st.floats(min_value=1e-3, max_value=1.0 - 1e-3,
                           allow_nan=False, allow_infinity=False)
+closed_unit_interval = st.floats(min_value=0.0, max_value=1.0)
+# tiny x, both sides of the 1/2 switch between the direct and reflected series, near 1
+EDGE_POINTS = [1e-300, 1e-20, math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.5, 1.0),
+               1.0 - 1e-16, 1.0]
+
+
+def mp_li2(x):
+    with mpmath.workdps(40):
+        return mpmath.polylog(2, mpmath.mpf(x))
+
+
+def mp_rogers_L(x):
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x)
+        return mpmath.polylog(2, x) + mpmath.log(x) * mpmath.log1p(-x) / 2
+
+
+def relative_error(value, exact):
+    with mpmath.workdps(40):
+        return float(abs((value - exact) / exact))
+
+
+def bernoulli_numbers(count):
+    """B_0 .. B_count from sum_{j<=m} C(m+1, j) B_j = 0, exactly."""
+    numbers = [Fraction(1)]
+    for m in range(1, count + 1):
+        numbers.append(-sum(math.comb(m + 1, j) * numbers[j] for j in range(m)) / (m + 1))
+    return numbers
 
 
 class TestLi2:
@@ -37,6 +70,32 @@ class TestLi2:
             with pytest.raises(DomainError):
                 li2(x)
 
+    @given(closed_unit_interval)
+    @settings(max_examples=300)
+    def test_mpmath_agreement(self, x):
+        if x == 0.0:
+            assert li2(x) == 0.0
+        else:
+            assert relative_error(li2(x), mp_li2(x)) < 1e-15
+
+    @pytest.mark.parametrize("x", EDGE_POINTS)
+    def test_mpmath_agreement_at_edges(self, x):
+        assert relative_error(li2(x), mp_li2(x)) < 1e-15
+
+    def test_series_coefficients_are_bernoulli_ratios(self):
+        # the literals are B_2k/(2k+1)!, each rounded once from the exact rational
+        bernoulli = bernoulli_numbers(20)
+        assert bernoulli[1] == Fraction(-1, 2)  # the -z^2/4 term of the series
+        exact = [bernoulli[2 * k] / math.factorial(2 * k + 1) for k in range(1, 11)]
+        assert dilogarithm._BERNOULLI_COEFFS == tuple(float(c) for c in exact)
+
+    def test_numpy_scalar_matches_float(self, rng):
+        xs = [*rng.uniform(0.0, 1.0, size=200), *EDGE_POINTS, 0.0]
+        for x in np.asarray(xs, dtype=np.float64):
+            assert li2(x) == li2(float(x))
+            assert rogers_L(x) == rogers_L(float(x))
+            assert type(li2(x)) is float
+
 
 class TestRogersL:
     def test_symmetric_point(self):
@@ -48,6 +107,16 @@ class TestRogersL:
     def test_endpoints_extended(self):
         assert rogers_L(0.0) == 0.0
         assert rogers_L(1.0) == pytest.approx(math.pi ** 2 / 6, abs=1e-15)
+
+    # from the smallest normal float: below it L(x) ~ x ln(1/x) is subnormal
+    @given(st.floats(min_value=sys.float_info.min, max_value=math.nextafter(1.0, 0.0)))
+    @settings(max_examples=300)
+    def test_mpmath_agreement(self, x):
+        assert relative_error(rogers_L(x), mp_rogers_L(x)) < 1e-15
+
+    @pytest.mark.parametrize("x", EDGE_POINTS[:-1])
+    def test_mpmath_agreement_at_edges(self, x):
+        assert relative_error(rogers_L(x), mp_rogers_L(x)) < 1e-15
 
     @given(unit_interval)
     @settings(max_examples=300)

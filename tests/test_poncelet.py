@@ -231,11 +231,15 @@ class TestSearchClosingConfig:
         assert "no closing configuration" in message
         assert len(probed) == 2
 
-    @pytest.mark.parametrize("n, m", [(5, 2), (7, 3)])
-    @pytest.mark.parametrize("R", [1.0, 2.0])
+    @pytest.mark.parametrize("n, m", [(n, m) for n in range(3, 13) for m in range(1, n)
+                                      if 2 * m < n])
+    @pytest.mark.parametrize("R", [0.7, 1.0, 2.0])
     def test_star_closes_at_the_concentric_limit(self, n, m, R):
-        # r = R cos(pi m/n) exactly: the concentric pair is the regular {n/m} star
-        assert search_closing_config(n, m, R, R * math.cos(math.pi * m / n)).a < 1e-12
+        # r = R cos(pi m/n) exactly: the concentric pair is the regular {n/m} star,
+        # whose a = 0 residual may round a fraction of an ulp below zero
+        config = search_closing_config(n, m, R, R * math.cos(math.pi * m / n))
+        assert config.a < 1e-12
+        assert abs(closure_residual(config, n, m)) < 1e-15
 
     def test_bracket_edge_named(self):
         # below the concentric limit, but the closing distance would need a >= r
