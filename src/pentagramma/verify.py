@@ -100,14 +100,16 @@ def criterion_4(col: _Collector, rng) -> None:
     col.add("kernel.K0", abs(elliptic_kernel.complete_K(0.0) - PI / 2), 1e-15)
 
     worst_rt = worst_add = worst_main = 0.0
-    for _ in range(400):
-        k = rng.uniform(0.0, 0.95)
+    # one block of draws in the order k, phi, u, v per sample, as plain floats;
+    # lo + (hi - lo) * U is how Generator.uniform scales each draw
+    for k_unit, phi_unit, u_unit, v_unit in rng.random((400, 4)).tolist():
+        k = 0.95 * k_unit
         quarter = elliptic_kernel.complete_K(k)
-        phi = rng.uniform(0.0, PI / 2)
+        phi = PI / 2 * phi_unit
         worst_rt = max(worst_rt, abs(
             elliptic_kernel.am(elliptic_kernel.incomplete_F(phi, k), k) - phi))
-        u = rng.uniform(-3 * quarter, 3 * quarter)
-        v = rng.uniform(-3 * quarter, 3 * quarter)
+        u = -3 * quarter + 6 * quarter * u_unit
+        v = -3 * quarter + 6 * quarter * v_unit
         added = elliptic_kernel.jacobi_sum(u, v, k)
         direct = elliptic_kernel.jacobi_triple(u + v, k)
         worst_add = max(worst_add, abs(added.sn - direct.sn),

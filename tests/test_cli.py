@@ -11,7 +11,7 @@ import pytest
 
 import pentagramma
 from battery_outcomes import CRITERION_8_FAILING
-from pentagramma import cli, errors
+from pentagramma import cli, elliptic_kernel, errors, oracles, verify
 from pentagramma.cli import main
 
 
@@ -244,6 +244,41 @@ class TestPoncelet:
         assert len(lines) == 12
 
 
+def scalar_draw_criterion_4(col, rng):
+    """Criterion 4 as it drew its samples one rng.uniform call at a time: the reference."""
+    col.add("kernel.K0", abs(elliptic_kernel.complete_K(0.0) - math.pi / 2), 1e-15)
+    worst_rt = worst_add = worst_main = 0.0
+    for _ in range(400):
+        k = rng.uniform(0.0, 0.95)
+        quarter = elliptic_kernel.complete_K(k)
+        phi = rng.uniform(0.0, math.pi / 2)
+        worst_rt = max(worst_rt, abs(
+            elliptic_kernel.am(elliptic_kernel.incomplete_F(phi, k), k) - phi))
+        u = rng.uniform(-3 * quarter, 3 * quarter)
+        v = rng.uniform(-3 * quarter, 3 * quarter)
+        added = elliptic_kernel.jacobi_sum(u, v, k)
+        direct = elliptic_kernel.jacobi_triple(u + v, k)
+        worst_add = max(worst_add, abs(added.sn - direct.sn),
+                        abs(added.cn - direct.cn), abs(added.dn - direct.dn))
+        tu = elliptic_kernel.jacobi_triple(u, k)
+        tv = elliptic_kernel.jacobi_triple(v, k)
+        diff = elliptic_kernel.jacobi_triple(u - v, k)
+        worst_main = max(worst_main, abs(
+            diff.cn - (tu.cn * tv.cn + tu.sn * tv.sn * diff.dn)))
+    col.add("kernel.roundtrip", worst_rt, 1e-12)
+    col.add("kernel.addition", worst_add, 1e-12)
+    col.add("kernel.main_formula", worst_main, 1e-12)
+    worst_oracle = 0.0
+    for _ in range(20):
+        k = rng.uniform(0.0, 0.95)
+        u = rng.uniform(0.0, elliptic_kernel.complete_K(k))
+        phi = elliptic_kernel.am(u, k)
+        worst_oracle = max(worst_oracle, abs(oracles.quad_F(phi, k) - u))
+    worst_oracle = max(worst_oracle, abs(oracles.quad_F(math.pi / 2, 0.8)
+                                         - elliptic_kernel.complete_K(0.8)))
+    col.add("kernel.quadrature_oracle", worst_oracle, 1e-11)
+
+
 class TestVerifyAll:
     def test_default_run_reports_known_defect(self):
         # the stated 5/2 search input has no closing distance (inner circle
@@ -267,6 +302,16 @@ class TestVerifyAll:
         _, first = run_cli(["verify-all", "--seed", "7", "--json"])
         _, second = run_cli(["verify-all", "--seed", "7", "--json"])
         assert first == second
+
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_block_draws_match_scalar_draws(self, seed, monkeypatch):
+        # criterion 4 takes its 1,600 uniforms as one rng.random block; the
+        # report is byte for byte the one the scalar draws gave
+        _, block = run_cli(["verify-all", "--seed", str(seed), "--json"])
+        description, _ = verify.CRITERIA[4]
+        monkeypatch.setitem(verify.CRITERIA, 4, (description, scalar_draw_criterion_4))
+        _, scalar = run_cli(["verify-all", "--seed", str(seed), "--json"])
+        assert block == scalar
 
     def test_env_tolerance_override(self, monkeypatch):
         monkeypatch.setenv("PENTAGRAMMA_TOL", "1e-16")

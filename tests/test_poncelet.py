@@ -1,8 +1,11 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pentagramma import poncelet
 from pentagramma.elliptic_kernel import am, incomplete_F
@@ -106,6 +109,38 @@ class TestChordStep:
             assert geometric == pytest.approx(r, abs=1e-13)
 
 
+def _nested(R, r_share, a_share):
+    # a strictly nested pair with the outer centre inside the inner circle
+    r = R * r_share
+    return TwoCircleConfig(R, r, a_share * min(r, R - r))
+
+
+def _shift_turns(phi, turns):
+    # phi + 2 pi turns, rounded once
+    with mpmath.workdps(40):
+        return float(mpmath.mpf(phi) + 2 * turns * mpmath.pi)
+
+
+class TestChordStepProperties:
+    @given(st.floats(0.5, 4.0), st.floats(0.05, 0.95), st.floats(0.0, 0.99),
+           st.floats(-1e4, 1e4))
+    @settings(max_examples=300)
+    def test_forward_tangent_chord(self, R, r_share, a_share, phi):
+        config = _nested(R, r_share, a_share)
+        q = chord_step(config, phi)
+        assert 0.0 < q - phi < math.pi
+        # the step is 2 pi periodic: take it on the reduced angle and shift back
+        turns = math.floor(phi / (2 * math.pi))
+        reduced = _shift_turns(phi, -turns)
+        q_reduced = chord_step(config, reduced)
+        assert abs(_shift_turns(q_reduced, turns) - q) <= 4 * math.ulp(abs(phi) + math.pi)
+        # tangency on the reduced angles, where the double q_reduced rounds
+        # below 1e-15 (q itself rounds at ulp(phi), up to 1.8e-12 here)
+        touched = (config.R + config.a) * math.cos(q_reduced) * math.cos(reduced) \
+            + (config.R - config.a) * math.sin(q_reduced) * math.sin(reduced)
+        assert abs(touched - config.r) < 1e-13
+
+
 UNNESTED = [TwoCircleConfig(1.0, 0.5, 0.6), TwoCircleConfig(1.0, 0.9, 0.2),
             TwoCircleConfig(1.0, -0.5, 0.2), TwoCircleConfig(-1.0, 0.5, 0.2),
             TwoCircleConfig(1.0, 0.5, -0.1)]
@@ -126,9 +161,11 @@ def test_walk_on_unnested_config_raises(config):
 
 class TestTrajectory:
     def test_length_and_monotonicity(self):
-        walk = trajectory(TwoCircleConfig(1.0, 0.5, 0.2), 0.0, 25).phis
-        assert len(walk) == 26
-        assert np.all(np.diff(walk) > 0.0)
+        for phi0 in (0.0, -3.0, 1e3):
+            walk = trajectory(TwoCircleConfig(1.0, 0.5, 0.2), phi0, 25).phis
+            assert len(walk) == 26
+            assert walk[0] == phi0
+            assert np.all(np.diff(walk) > 0.0)
 
     def test_elliptic_shadowing(self, rng):
         for R, r, a in ((1.0, 0.5, 0.2), (1.0, 0.4, 0.35), (2.0, 0.9, 0.5)):
@@ -140,6 +177,35 @@ class TestTrajectory:
             u0 = incomplete_F(phi0, k)
             shadow = [am(u0 + i * step, k) for i in range(51)]
             assert np.abs(walk - np.array(shadow)).max() < 1e-9
+
+    @pytest.mark.parametrize("phi0", [0.0, 0.37, 1.0, 4.0])
+    def test_long_walk_porism(self, phi0):
+        # 10^5 chords of the closing 5/2 star: the porism phi(5j) - phi0 - 2 j pi
+        # holds at every 10^4 chords; at phi0 = 0 exact offsets on the cumulative
+        # angle drift to 5e-10 by 10^4 chords, at 0.37 the cumulative walk
+        # reaches 3.6e-10 by 10^5
+        config = search_closing_config(5, 2, 1.0, 0.3)
+        walk = trajectory(config, phi0, 100_000).phis
+        for i in range(10_000, 100_001, 10_000):
+            assert abs(walk[i] - phi0 - (i // 5) * 2 * math.pi) < 1e-10, i
+
+    def test_walk_matches_mpmath(self):
+        # the same chords at 30 digits, from the same double R, r, a and phi0
+        config = search_closing_config(8, 3, 1.0, 0.35)
+        phi0 = 0.8
+        walk = trajectory(config, phi0, 2_000).phis
+        with mpmath.workdps(30):
+            R, r, a = (mpmath.mpf(x) for x in (config.R, config.r, config.a))
+            phi = mpmath.mpf(phi0)
+            worst = 0.0
+            for i in range(1, 2_001):
+                A, B = (R + a) * mpmath.cos(phi), (R - a) * mpmath.sin(phi)
+                psi, delta = mpmath.atan2(B, A), mpmath.acos(r / mpmath.hypot(A, B))
+                offsets = [(psi + sign * delta - phi + mpmath.pi) % (2 * mpmath.pi) - mpmath.pi
+                           for sign in (1, -1)]
+                phi += next(d for d in offsets if 0 < d < mpmath.pi)
+                worst = max(worst, abs(walk[i] - float(phi)))
+        assert worst < 1e-12
 
     def test_rejects_empty_walk(self):
         with pytest.raises(DomainError):
