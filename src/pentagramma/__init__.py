@@ -7,9 +7,8 @@ and the Rogers dilogarithm five-term identity that the pentagon realises
 geometrically.
 """
 
-from .cone_spectrum import (ConeQuadric, SpectralTriple, characteristic_matrix,
-                            cone_coefficients, modulus_from_spectrum,
-                            solve_characteristic)
+from .cone_spectrum import (ConeQuadric, SpectralTriple, cone_coefficients,
+                            modulus_from_spectrum, solve_characteristic)
 from .dilogarithm import li2, pentagon_five_term, rogers_L, spence_residual
 from .elliptic_kernel import (JacobiTriple, am, complete_K, half_angle_tan,
                               incomplete_F, jacobi_sum, jacobi_triple)

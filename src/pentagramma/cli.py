@@ -16,8 +16,6 @@ import os
 import sys
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from . import verify
 from .cone_spectrum import (OMEGA_CRITICAL, cone_coefficients, modulus_from_spectrum,
                             solve_characteristic)
@@ -72,16 +70,15 @@ def _to_json(obj) -> str:
     if isinstance(obj, dict):
         items = ", ".join(f'"{key}": {_to_json(obj[key])}' for key in sorted(obj))
         return "{" + items + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
-        return "[" + ", ".join(_to_json(v) for v in seq) + "]"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(_to_json(v) for v in obj) + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, str):
         import json as _json
         return _json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
+    if isinstance(obj, int):
+        return str(obj)
     if obj is None:
         return "null"
     return _fmt(obj)
@@ -240,6 +237,8 @@ def _napier_row(k: float, u: float):
 def cmd_napier(args, out) -> RunReport | None:
     """The report of one frame, or None once the --grid CSV is written."""
     if args.grid:
+        import numpy as np
+
         rng = np.random.default_rng(args.seed)
         rows = []
         for k in [round(0.1 * i, 1) for i in range(10)]:
@@ -312,6 +311,8 @@ def cmd_bridge(args, out) -> RunReport:
 
 def cmd_poncelet(args, out) -> RunReport:
     if args.solve:
+        import numpy as np
+
         n, m = args.solve
         config = search_closing_config(n, m, args.R, args.r)
         rng = np.random.default_rng(args.seed)

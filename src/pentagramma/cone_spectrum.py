@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DegenerateError, DomainError, InvariantError, SubcriticalError
 from .pentagram_algebra import GOLDEN, complete_from_two
 
@@ -75,15 +73,6 @@ def cone_coefficients(alpha: float, gamma: float) -> ConeQuadric:
     if abs(r - alt) > 1e-12 * abs(r):
         raise InvariantError(f"cone coefficient cross-check failed: {r!r} vs {alt!r}")
     return ConeQuadric(p=p, q=q, r=r)
-
-
-def characteristic_matrix(c: ConeQuadric) -> np.ndarray:
-    """Symmetric matrix of the cone form; eigenvalues solve the characteristic cubic."""
-    return np.array([
-        [0.0, c.r / 2.0, c.p / 2.0],
-        [c.r / 2.0, 0.0, c.q / 2.0],
-        [c.p / 2.0, c.q / 2.0, 1.0],
-    ])
 
 
 def _cubic(t: float, omega: float) -> float:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, InvariantError, NearPoleError
 
@@ -92,16 +92,12 @@ def am(u: float, k: float) -> float:
     return phi
 
 
-@dataclass(frozen=True)
-class JacobiTriple:
+class JacobiTriple(NamedTuple):
     """The values (sn u, cn u, dn u) at a common argument."""
 
     sn: float
     cn: float
     dn: float
-
-    def __iter__(self):
-        return iter((self.sn, self.cn, self.dn))
 
 
 def jacobi_triple(u: float, k: float) -> JacobiTriple:

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .cone_spectrum import SpectralTriple
 from .errors import InvariantError, OffEllipseError, SingularError
 from .napier_uniformization import PentagonFrame
@@ -32,11 +30,11 @@ class PlanarPentagon:
     2pi per full cycle, so anomaly(j) is well defined for any integer j.
     """
 
-    points: np.ndarray           # shape (5, 2)
+    points: tuple[tuple[float, float], ...]  # five (x, y) rows
     axes: tuple[float, float]    # (g', g'')
     anomalies: tuple[float, ...]
 
-    def point(self, j: int) -> np.ndarray:
+    def point(self, j: int) -> tuple[float, float]:
         return self.points[j % 5]
 
     def anomaly(self, j: int) -> float:
@@ -73,7 +71,7 @@ def eccentric_anomaly(point, axes) -> float:
 
 def pentagon_from_frame(f: PentagonFrame) -> PlanarPentagon:
     """Drop the frame rays to the plane and recover axes and anomalies."""
-    rows = [(x, y) for x, y, _ in f.vectors.tolist()]
+    rows = tuple((x, y) for x, y, _ in f.vectors)
     axes = _fit_axes(rows)
     inv_a2 = 1.0 / axes[0] ** 2
     inv_b2 = 1.0 / axes[1] ** 2
@@ -90,20 +88,20 @@ def pentagon_from_frame(f: PentagonFrame) -> PlanarPentagon:
     unwrapped = [raw[0]]
     for j in range(1, 5):
         unwrapped.append(unwrapped[-1] + (raw[j] - unwrapped[-1]) % TWO_PI)
-    return PlanarPentagon(points=np.array(rows), axes=axes, anomalies=tuple(unwrapped))
+    return PlanarPentagon(points=rows, axes=axes, anomalies=tuple(unwrapped))
 
 
-def recover_from_pm2(p: PlanarPentagon, i: int):
+def recover_from_pm2(p: PlanarPentagon, i: int) -> tuple[float, float]:
     """Vertex i from vertices i-2 and i+2 through the two right angles."""
     x2, y2 = p.point(i + 2)
     xm, ym = p.point(i - 2)
     den = x2 * ym - y2 * xm
     if abs(den) <= _COLLINEAR_TOL:
         raise SingularError("reference vertices collinear with the origin")
-    return np.array([(y2 - ym) / den, (xm - x2) / den])
+    return (y2 - ym) / den, (xm - x2) / den
 
 
-def recover_from_pm1(p: PlanarPentagon, s: SpectralTriple, i: int):
+def recover_from_pm1(p: PlanarPentagon, s: SpectralTriple, i: int) -> tuple[float, float]:
     """Vertex i from vertices i-1 and i+1 through the confocal relation."""
     x1, y1 = p.point(i + 1)
     xm, ym = p.point(i - 1)
@@ -111,8 +109,8 @@ def recover_from_pm1(p: PlanarPentagon, s: SpectralTriple, i: int):
     if abs(den) <= _COLLINEAR_TOL:
         raise SingularError("reference vertices collinear with the origin")
     scale = 2.0 * s.G - 1.0
-    return np.array([-(2.0 * s.Gp - 1.0) / scale * (y1 - ym) / den,
-                     (2.0 * s.Gpp - 1.0) / scale * (x1 - xm) / den])
+    return (-(2.0 * s.Gp - 1.0) / scale * (y1 - ym) / den,
+            (2.0 * s.Gpp - 1.0) / scale * (x1 - xm) / den)
 
 
 def confocal_residual(p: PlanarPentagon, s: SpectralTriple, i: int) -> float:
@@ -124,8 +122,9 @@ def confocal_residual(p: PlanarPentagon, s: SpectralTriple, i: int) -> float:
             + 1.0 / (2.0 * s.G - 1.0))
 
 
-def gauss_theorem_residuals(p: PlanarPentagon, s: SpectralTriple) -> np.ndarray:
-    """The four half-sum anomaly identities at all five positions, as a 4x5 array.
+def gauss_theorem_residuals(p: PlanarPentagon,
+                            s: SpectralTriple) -> tuple[tuple[float, ...], ...]:
+    """The four half-sum anomaly identities at all five positions, as four rows of five.
 
     Rows 0-1: next-nearest identities with coefficients G/G'' and G/G'.
     Rows 2-3: nearest identities with coefficients G(2G-1)/(G''(2G''-1)) and
@@ -143,17 +142,17 @@ def gauss_theorem_residuals(p: PlanarPentagon, s: SpectralTriple) -> np.ndarray:
         raise InvariantError("root/rational coefficient forms disagree: "
                              "spectral triple inconsistent with its cubic")
 
-    res = np.empty((4, 5))
+    res = ([], [], [], [])
     for i in range(5):
         phi = p.anomaly(i)
         fm2, fp2 = p.anomaly(i - 2), p.anomaly(i + 2)
         half_sum = 0.5 * (fm2 + fp2)
         half_diff = math.cos(0.5 * (fm2 - fp2))
-        res[0, i] = math.sin(half_sum) / half_diff - (G / Gpp) * math.sin(phi)
-        res[1, i] = math.cos(half_sum) / half_diff - (G / Gp) * math.cos(phi)
+        res[0].append(math.sin(half_sum) / half_diff - (G / Gpp) * math.sin(phi))
+        res[1].append(math.cos(half_sum) / half_diff - (G / Gp) * math.cos(phi))
         fm1, fp1 = p.anomaly(i - 1), p.anomaly(i + 1)
         half_sum = 0.5 * (fm1 + fp1)
         half_diff = math.cos(0.5 * (fm1 - fp1))
-        res[2, i] = math.sin(half_sum) / half_diff - coeff_pp * math.sin(phi)
-        res[3, i] = math.cos(half_sum) / half_diff - coeff_p * math.cos(phi)
-    return res
+        res[2].append(math.sin(half_sum) / half_diff - coeff_pp * math.sin(phi))
+        res[3].append(math.cos(half_sum) / half_diff - coeff_p * math.cos(phi))
+    return tuple(tuple(row) for row in res)

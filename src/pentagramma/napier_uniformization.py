@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import cone_spectrum
 from .elliptic_kernel import MAX_MODULUS, complete_K, jacobi_triple
 from .errors import ChordDegenerateError, DomainError, InvariantError
@@ -30,7 +28,7 @@ class PentagonFrame:
     K: float
     cn_fifth: float   # cn(2K/5) > 0
     dn_fifth: float   # dn(2K/5)
-    vectors: np.ndarray  # shape (5, 3); third column is exactly 1
+    vectors: tuple[tuple[float, float, float], ...]  # five rows r_j; third entry exactly 1
 
 
 def frame_vectors(k: float, u: float) -> PentagonFrame:
@@ -46,17 +44,15 @@ def frame_vectors(k: float, u: float) -> PentagonFrame:
     for j in range(5):
         sn, cn, _ = jacobi_triple(u + 0.8 * quarter * j, k)
         rows.append((cn / root_c, root_d * sn / root_c, 1.0))
-    return PentagonFrame(k=k, u=u, K=quarter, cn_fifth=cn5, dn_fifth=dn5,
-                         vectors=np.array(rows))
+    return PentagonFrame(k=k, u=u, K=quarter, cn_fifth=cn5, dn_fifth=dn5, vectors=tuple(rows))
 
 
 def _chords(f: PentagonFrame) -> list[tuple[float, float, float]]:
     """(|a x b|^2, a.b, |a|^2 |b|^2) for each chord a = r_j, b = r_{j+1}."""
-    rows = f.vectors.tolist()
     out = []
     for j in range(5):
-        ax, ay, az = rows[j]
-        bx, by, bz = rows[(j + 1) % 5]
+        ax, ay, az = f.vectors[j]
+        bx, by, bz = f.vectors[(j + 1) % 5]
         dot = ax * bx + ay * by + az * bz
         if abs(dot) <= _ORTHOGONAL_TOL:
             raise ChordDegenerateError(f"rays {j} and {j + 1} orthogonal within "

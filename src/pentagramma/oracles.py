@@ -8,8 +8,6 @@ root finding over whole frames, chord quantities from planar data.
 import math
 import warnings
 
-import numpy as np
-
 from . import napier_uniformization
 from .cone_spectrum import OMEGA_CRITICAL
 from .errors import DomainError, SubcriticalError
@@ -138,7 +136,20 @@ def right_triangle(a, b):
     return parts, c, alpha, beta
 
 
+def characteristic_matrix(c):
+    """Symmetric matrix of the cone form c; its eigenvalues solve the characteristic cubic."""
+    import numpy as np
+
+    return np.array([
+        [0.0, c.r / 2.0, c.p / 2.0],
+        [c.r / 2.0, 0.0, c.q / 2.0],
+        [c.p / 2.0, c.q / 2.0, 1.0],
+    ])
+
+
 def symmetric_eigenvalues(matrix):
+    import numpy as np
+
     return np.linalg.eigvalsh(np.asarray(matrix, dtype=float))
 
 

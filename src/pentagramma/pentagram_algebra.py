@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, InvariantError
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -150,25 +148,29 @@ def pentagon_parts(sides, i: int) -> NapierParts:
 class SpherePentagon:
     """Five unit vertices on the sphere plus the arc lengths of the sides."""
 
-    vertices: np.ndarray          # shape (5, 3), rows P1..P5
+    vertices: tuple[tuple[float, float, float], ...]  # rows P1..P5
     sides: tuple[float, ...]      # p_i = arc between vertices i+2 and i+3 (1-based)
 
 
-def sphere_sides(vertices: np.ndarray) -> tuple[float, ...]:
+def _dot(a, b) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def sphere_sides(vertices) -> tuple[float, ...]:
     """Recompute side arcs from vertices: p_i spans P_{i+2} P_{i+3} (1-based)."""
     out = []
     for i in range(5):
         a = vertices[(i + 2) % 5]
         b = vertices[(i + 3) % 5]
-        cross = np.cross(a, b)
-        out.append(math.atan2(float(np.linalg.norm(cross)), float(np.dot(a, b))))
+        cross = math.hypot(a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                           a[0] * b[1] - a[1] * b[0])
+        out.append(math.atan2(cross, _dot(a, b)))
     return tuple(out)
 
 
-def orthogonality_residuals(vertices: np.ndarray) -> tuple[float, ...]:
+def orthogonality_residuals(vertices) -> tuple[float, ...]:
     """Dot products of next-nearest vertex pairs; zero for a genuine pentagon."""
-    return tuple(float(np.dot(vertices[(j - 1) % 5], vertices[(j + 1) % 5]))
-                 for j in range(5))
+    return tuple(_dot(vertices[(j - 1) % 5], vertices[(j + 1) % 5]) for j in range(5))
 
 
 def build_sphere_vertices(c: AlphaCycle) -> SpherePentagon:
@@ -181,13 +183,13 @@ def build_sphere_vertices(c: AlphaCycle) -> SpherePentagon:
     orthogonality or cone-membership residuals then exceed GEOM_TOL).
     """
     p1, p2, p3, p4, p5 = sides_from_alphas(c)
-    P3 = np.array([1.0, 0.0, 0.0])
-    P1 = np.array([0.0, 1.0, 0.0])
-    P5 = np.array([0.0, math.cos(p3), math.sin(p3)])
-    P4 = np.array([math.cos(p1), 0.0, math.sin(p1)])
-    P2 = np.array([math.cos(p5), math.cos(p4), -math.cos(p3) * math.sin(p5)])
-    P2 = P2 / np.linalg.norm(P2)
-    vertices = np.array([P1, P2, P3, P4, P5])
+    x2, y2, z2 = math.cos(p5), math.cos(p4), -math.cos(p3) * math.sin(p5)
+    norm = math.hypot(x2, y2, z2)
+    vertices = ((0.0, 1.0, 0.0),                            # P1
+                (x2 / norm, y2 / norm, z2 / norm),          # P2
+                (1.0, 0.0, 0.0),                            # P3
+                (math.cos(p1), 0.0, math.sin(p1)),          # P4
+                (0.0, math.cos(p3), math.sin(p3)))          # P5
 
     worst = max(abs(r) for r in orthogonality_residuals(vertices))
     if worst > GEOM_TOL:
@@ -201,8 +203,7 @@ def build_sphere_vertices(c: AlphaCycle) -> SpherePentagon:
     # membership in the quadric cone z^2 + p xz + q yz + r xy = 0 built from
     # the first and third cycle entries
     cone = cone_coefficients(c.alphas[0], c.alphas[2])
-    for v in vertices:
-        x, y, z = v
+    for x, y, z in vertices:
         res = z * z + cone.p * x * z + cone.q * y * z + cone.r * x * y
         if abs(res) > GEOM_TOL:
             raise InvariantError(f"cone membership residual {res:.3e} exceeds {GEOM_TOL:.1e}")

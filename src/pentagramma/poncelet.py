@@ -14,12 +14,14 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .elliptic_kernel import incomplete_F
 from .errors import (DomainError, GeometryError, InvariantError, NoSolutionError,
                      NoTangentError)
+
+if TYPE_CHECKING:  # numpy is imported where the walk is built, not with the module
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -35,7 +37,7 @@ class TwoCircleConfig:
 class PonceletTrajectory:
     """Unwrapped half-angles along a chord walk."""
 
-    phis: np.ndarray
+    phis: np.ndarray  # float64, one angle per vertex
     config: TwoCircleConfig
 
 
@@ -140,6 +142,8 @@ def trajectory(c: TwoCircleConfig, phi0: float, n: int) -> PonceletTrajectory:
     [0, 2 pi) was 2.3e-13 by 10^3 chords, 1.8e-12 by 10^4 and 2.9e-11 by
     10^5, two ulps of the cumulative angle there.
     """
+    import numpy as np
+
     if n < 1:
         raise DomainError("need at least one chord step")
     if not math.isfinite(phi0):

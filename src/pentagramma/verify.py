@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import (cone_spectrum, dilogarithm, elliptic_kernel, gauss_projection,
                napier_uniformization, oracles, pentagram_algebra, poncelet)
 from .errors import ChordDegenerateError, NoSolutionError, PentagrammaError
@@ -147,7 +145,7 @@ def criterion_5(col: _Collector, rng) -> None:
     a = napier_uniformization.alpha_sequence(frame).alphas
     col.add("law.regular_alpha", max(abs(v - GOLDEN) for v in a), 1e-12)
     col.add("law.regular_norm", max(
-        abs(float(np.dot(v, v)) - math.sqrt(5.0)) for v in frame.vectors), 1e-12)
+        abs(sum(c * c for c in v) - math.sqrt(5.0)) for v in frame.vectors), 1e-12)
 
 
 def criterion_6(col: _Collector, rng) -> None:
@@ -182,15 +180,14 @@ def criterion_7(col: _Collector, rng) -> None:
     """Anomaly identities, recovery formulas, confocal relation."""
     worst_theorem = worst_rec = worst_conf = 0.0
     for pentagon, s in _projection_cases(rng):
-        worst_theorem = max(worst_theorem, float(np.abs(
-            gauss_projection.gauss_theorem_residuals(pentagon, s)).max()))
+        worst_theorem = max(worst_theorem, *(
+            abs(r) for row in gauss_projection.gauss_theorem_residuals(pentagon, s)
+            for r in row))
         for i in range(5):
             worst_rec = max(
                 worst_rec,
-                float(np.linalg.norm(
-                    gauss_projection.recover_from_pm2(pentagon, i) - pentagon.point(i))),
-                float(np.linalg.norm(
-                    gauss_projection.recover_from_pm1(pentagon, s, i) - pentagon.point(i))))
+                math.dist(gauss_projection.recover_from_pm2(pentagon, i), pentagon.point(i)),
+                math.dist(gauss_projection.recover_from_pm1(pentagon, s, i), pentagon.point(i)))
             worst_conf = max(worst_conf, abs(
                 gauss_projection.confocal_residual(pentagon, s, i)))
     col.add("projection.theorem", worst_theorem, 1e-8)
@@ -228,8 +225,8 @@ def criterion_8(col: _Collector, rng) -> None:
         phi0 = float(rng.uniform(0.0, 2 * PI))
         walk = poncelet.trajectory(cfg, phi0, 50)
         u0 = elliptic_kernel.incomplete_F(phi0, k)
-        shadow = np.array([elliptic_kernel.am(u0 + i * step, k) for i in range(51)])
-        worst_shadow = max(worst_shadow, float(np.abs(walk.phis - shadow).max()))
+        worst_shadow = max(worst_shadow, *(
+            abs(phi - elliptic_kernel.am(u0 + i * step, k)) for i, phi in enumerate(walk.phis)))
         worst_consistency = max(worst_consistency,
                                 poncelet.modulus_residual(cfg, k, alpha))
     col.add("poncelet.shadowing", worst_shadow, 1e-9)
@@ -292,6 +289,8 @@ CRITERIA = {
 
 
 def run_criterion(number: int, seed: int = 0) -> list[Check]:
+    import numpy as np
+
     description, func = CRITERIA[number]
     col = _Collector()
     func(col, np.random.default_rng(seed + number))

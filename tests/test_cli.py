@@ -360,14 +360,33 @@ def test_negative_count_is_a_usage_error(argv, capsys):
     assert message.startswith("usage:") and "is not a non-negative integer" in message
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
-    # scipy serves only the oracles of the battery and the tests, not every command
+def loaded_modules(prefix, statement):
+    """Names of the modules under prefix that a fresh interpreter holds after statement."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(pentagramma.__file__)))
-    code = ("import sys, pentagramma.cli; "
-            "print(sorted(name for name in sys.modules if name.startswith('scipy')))")
+    code = (f"import sys\n{statement}\n"
+            f"print(sorted(name for name in sys.modules if name.split('.')[0] == {prefix!r}))")
     done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=120)
-    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr or done.stdout
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize("prefix", ["scipy", "numpy"])
+def test_cli_import_leaves_unloaded(prefix):
+    # scipy serves only the oracles of the battery and the tests, numpy only the
+    # seeded draws and the Poncelet walk; importing the command loads neither
+    assert loaded_modules(prefix, "import pentagramma.cli") == "[]"
+
+
+def test_commands_without_a_seeded_draw_load_no_numpy():
+    argvs = [["pentagram", "--alpha", "9", "--gamma", "2", "--json"],
+             ["napier", "--k", "0.5", "--u", "0.3", "--json"],
+             ["bridge", "--k", "0.3", "--json"],
+             ["poncelet", "--R", "1", "--r", "0.5", "--a", "0.2", "--json"]]
+    statement = ("import io\nfrom pentagramma import cli\n"
+                 f"codes = [cli.main(argv, out=io.StringIO()) for argv in {argvs!r}]\n"
+                 "assert codes == [0, 0, 0, 0], codes")
+    assert loaded_modules("numpy", statement) == "[]"
 
 
 EXIT_CODES = {errors.DomainError: 2, errors.GeometryError: 2,

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from pentagramma.cone_spectrum import (OMEGA_CRITICAL, OMEGA_TOP, ConeQuadric, SpectralTriple,
-                                       characteristic_matrix, cone_coefficients,
-                                       modulus_from_spectrum, solve_characteristic)
+                                       cone_coefficients, modulus_from_spectrum,
+                                       solve_characteristic)
 from pentagramma.elliptic_kernel import complete_K, jacobi_triple
 from pentagramma.errors import DegenerateError, DomainError, SubcriticalError
-from pentagramma.oracles import characteristic_poly, symmetric_eigenvalues
+from pentagramma.oracles import (characteristic_matrix, characteristic_poly,
+                                 symmetric_eigenvalues)
 from pentagramma.pentagram_algebra import GOLDEN, complete_from_two
 
 

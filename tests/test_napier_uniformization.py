@@ -42,7 +42,7 @@ class TestFrameVectors:
             f = frame_vectors(k, u)
             quarter = complete_K(k)
             wrapped = frame_vectors(k, u + 5 * 0.8 * quarter)
-            assert np.abs(f.vectors - wrapped.vectors).max() < 1e-12
+            assert np.abs(np.asarray(f.vectors) - np.asarray(wrapped.vectors)).max() < 1e-12
 
     def test_lattice_constants_positive(self):
         f = frame_vectors(0.9, 0.1)
