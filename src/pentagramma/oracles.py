@@ -5,8 +5,8 @@ it checks: quadrature instead of AGM, direct series summation, the spherical
 law of cosines, numpy's symmetric eigensolver, plain polynomial evaluation,
 root finding over whole frames, chord quantities from planar data.
 """
+import functools
 import math
-import warnings
 
 from . import napier_uniformization
 from .cone_spectrum import OMEGA_CRITICAL
@@ -14,16 +14,114 @@ from .errors import DomainError, SubcriticalError
 from .pentagram_algebra import NapierParts
 
 
-def quad_F(phi, k):
-    """Incomplete first-kind integral by adaptive quadrature."""
-    from scipy.integrate import IntegrationWarning, quad
+# Gauss-Legendre points per panel; halvings of a panel at most; the panel
+# test's tolerance relative to the whole integral
+_GAUSS_POINTS = 24
+_MAX_DEPTH = 30
+_PANEL_TOL = 1e-15
 
-    with warnings.catch_warnings():
-        # near k ~ 1 the integrand steepens and quad warns about roundoff
-        # while still delivering ~1e-15; the check tolerances absorb that
-        warnings.simplefilter("ignore", IntegrationWarning)
-        value, _ = quad(lambda x: 1.0 / math.sqrt(1.0 - (k * math.sin(x)) ** 2),
-                        0.0, phi, epsabs=1e-13, epsrel=1e-13, limit=200)
+
+@functools.cache
+def _gauss_legendre():
+    """(node, weight) pairs of the n-point Gauss-Legendre rule on [-1, 1], positive nodes only.
+
+    Each node is a root of P_n, found by Newton's method on the three-term
+    recurrence (j + 1) P_{j+1} = (2j + 1) x P_j - j P_{j-1} from the
+    asymptotic guess cos(pi (i - 1/4) / (n + 1/2)); the weight is
+    2 / ((1 - x^2) P_n'(x)^2) (Davis & Rabinowitz, Methods of Numerical
+    Integration, 1984, sec. 2.7).  n = _GAUSS_POINTS is even, so the nodes
+    come in +-x pairs.
+    """
+    n = _GAUSS_POINTS
+
+    def legendre(x):
+        p0, p1 = 1.0, x
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+    rule = []
+    for i in range(1, n // 2 + 1):
+        x = math.cos(math.pi * (i - 0.25) / (n + 0.5))
+        for _ in range(100):
+            p, dp = legendre(x)
+            step = p / dp
+            x -= step
+            if abs(step) <= 1e-16:
+                break
+        _, dp = legendre(x)
+        rule.append((x, 2.0 / ((1.0 - x * x) * dp * dp)))
+    return tuple(rule)
+
+
+def _panel(a, b, k, kc2):
+    """Gauss-Legendre sum of 1/sqrt(cos^2 t + k'^2 sin^2 t) over [a, b].
+
+    The radicand is evaluated as k'^2 + (k cos t)^2, the same sum of two
+    non-negative terms, with kc2 = k'^2 = (1 - k)(1 + k): nothing cancels as
+    k -> 1, where 1 - k^2 sin^2 t would.
+    """
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    total = 0.0
+    for x, w in _gauss_legendre():
+        c1 = k * math.cos(mid + half * x)
+        c2 = k * math.cos(mid - half * x)
+        total += w * (1.0 / math.sqrt(kc2 + c1 * c1) + 1.0 / math.sqrt(kc2 + c2 * c2))
+    return half * total
+
+
+def _adaptive(b, k, kc2):
+    """Integral over [0, b] by panels, each halved where it and its two halves disagree.
+
+    A panel is kept once its halves' sum is within _PANEL_TOL of the whole
+    interval's one-panel estimate (a tolerance on the whole integral, not on
+    the panel), or once it has been halved _MAX_DEPTH times.
+    """
+    whole = _panel(0.0, b, k, kc2)
+    tol = _PANEL_TOL * whole
+    total = 0.0
+    pending = [(0.0, b, whole, 0)]
+    while pending:
+        lo, hi, estimate, depth = pending.pop()
+        mid = 0.5 * (lo + hi)
+        left = _panel(lo, mid, k, kc2)
+        right = _panel(mid, hi, k, kc2)
+        if abs(left + right - estimate) <= tol or depth >= _MAX_DEPTH:
+            total += left + right
+        else:
+            pending.append((lo, mid, left, depth + 1))
+            pending.append((mid, hi, right, depth + 1))
+    return total
+
+
+def quad_F(phi, k):
+    """Incomplete first-kind integral F(phi, k) by adaptive Gauss-Legendre panels.
+
+    Domain: 0 <= k < 1 and finite phi; negative phi by oddness.  phi is
+    split exactly as n pi + r with |r| <= pi/2 (math.remainder against the
+    float pi), and F = n F(pi) + F(r), so every integral runs over at most
+    [0, pi] and the work is bounded for every finite phi.  For |phi| <= pi/2
+    that is one adaptive integral over [0, phi].
+
+    Measured against mpmath.ellipf at 30 digits, on random samples: within
+    1e-15 absolute on k <= 0.95, 0 <= phi <= pi/2 (criterion 4's range);
+    on |phi| <= pi, within 2e-15 relative for k <= 0.9999 and within 5e-15
+    for k <= 1 - 1e-9.  Closer to k = 1 the rounding of the nodes next to
+    pi/2 reaches the panel test and the depth cap ends the halving: 2e-14
+    at k = 1 - 1e-13, 6e-13 at the largest float below 1, at about 50 ms
+    a call.
+    """
+    if not 0.0 <= k < 1.0:
+        raise DomainError(f"quad_F modulus k={k!r} outside 0 <= k < 1")
+    if not math.isfinite(phi):
+        raise DomainError(f"quad_F amplitude phi={phi!r} is not finite")
+    kc2 = (1.0 - k) * (1.0 + k)
+    r = math.remainder(phi, math.pi)
+    value = math.copysign(_adaptive(abs(r), k, kc2), r) if r else 0.0
+    periods = round((phi - r) / math.pi)
+    if periods:
+        value += periods * _adaptive(math.pi, k, kc2)
     return value
 
 
@@ -55,13 +153,15 @@ def invert_quad_F(u, k):
 
 
 def invert_omega_of_k(omega):
-    """k with omega_of_k(k) = omega, by brentq over whole Napier frames on [0, 0.999999].
+    """k with omega_of_k(k) = omega, by bisection over whole Napier frames on [0, 0.999999].
 
+    The bracket is halved until it is 1e-15 wide in k, and the midpoint with
+    the smallest residual is returned.  Where omega grows, that is an end of
+    the last bracket; near k = 0, where omega - omega_c ~ k^4 sits below the
+    frame's rounding of a few ulps, it is the best k the bisection met.
     Monotone growth of omega in k is relied on for the bracket (verified on
     a grid by the tests, not proved).
     """
-    from scipy.optimize import brentq
-
     omega_of_k = napier_uniformization.omega_of_k
     k_max = 0.999999
     if omega < OMEGA_CRITICAL - 1e-12:
@@ -72,8 +172,17 @@ def invert_omega_of_k(omega):
     top = omega_of_k(k_max)
     if omega > top:
         raise DomainError(f"omega={omega!r} beyond the supported range ({top:.3e})")
-    return brentq(lambda k: omega_of_k(k) - omega, 0.0, k_max,
-                  xtol=1e-15, rtol=8.9e-16)
+    lo, hi = 0.0, k_max
+    best = (math.inf, hi)
+    while hi - lo > 1e-15:
+        mid = 0.5 * (lo + hi)
+        value = omega_of_k(mid)
+        best = min(best, (abs(value - omega), mid))
+        if value < omega:
+            lo = mid
+        else:
+            hi = mid
+    return best[1]
 
 
 def chord_alphas(p):

@@ -200,9 +200,9 @@ def _brent(f, xpre: float, xcur: float, fpre: float, fcur: float) -> float:
     """Root of f between xpre and xcur, given end values fpre and fcur of opposite sign.
 
     Brent's method (Algorithms for Minimization without Derivatives, 1973,
-    ch. 4), step for step as in scipy.optimize's C routine: a secant or
-    inverse-quadratic step when it stays well inside the bracket and shrinks
-    it fast enough, bisection otherwise.  xcur is the best estimate, xblk the
+    ch. 4), step for step as the C brentq that the tests compare against: a
+    secant or inverse-quadratic step when it stays well inside the bracket
+    and shrinks it fast enough, bisection otherwise.  xcur is the best estimate, xblk the
     other end of the bracket; spre and scur are the last two steps.  A nan
     residual or a bracket not closed in _MAXITER steps is a NoSolutionError.
     """

@@ -15,6 +15,7 @@ import io
 import json
 import math
 
+import mpmath
 import pytest
 
 from battery_outcomes import CRITERION_8_FAILING
@@ -71,6 +72,18 @@ def test_criterion(number, capsys):
         _assert_no_closing_distance(R=1.0, r=0.4)
         # the oracle does see a closing distance where the battery finds one
         assert rotation_number(1.0, 0.3, 0.0) > 2 / 5
+
+
+def test_rotation_number_against_mpmath():
+    # a = 0.59 puts the modulus at 0.9983, where the quadrature is hardest:
+    # a wrong oracle there would let the criterion 8 infeasibility pass
+    R, r, a = 1.0, 0.4, 0.59
+    with mpmath.workdps(30):
+        R_, r_, a_ = mpmath.mpf(R), mpmath.mpf(r), mpmath.mpf(a)
+        m = 4 * R_ * a_ / ((R_ + a_) ** 2 - r_ ** 2)
+        alpha = mpmath.acos(r_ / (R_ + a_))
+        expected = float(mpmath.ellipf(alpha, m) / mpmath.ellipf(mpmath.pi, m))
+    assert rotation_number(R, r, a) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_criterion_1_through_cli():

@@ -373,9 +373,17 @@ def loaded_modules(prefix, statement):
 
 @pytest.mark.parametrize("prefix", ["scipy", "numpy"])
 def test_cli_import_leaves_unloaded(prefix):
-    # scipy serves only the oracles of the battery and the tests, numpy only the
-    # seeded draws and the Poncelet walk; importing the command loads neither
+    # scipy serves only the tests, numpy only the seeded draws and the
+    # Poncelet walk; importing the command loads neither
     assert loaded_modules(prefix, "import pentagramma.cli") == "[]"
+
+
+def test_verify_all_loads_no_scipy():
+    # the battery's oracles are plain floats: scipy is a test dependency only
+    statement = ("import io\nfrom pentagramma import cli\n"
+                 "code = cli.main(['verify-all', '--json'], out=io.StringIO())\n"
+                 "assert code == 1, code")
+    assert loaded_modules("scipy", statement) == "[]"
 
 
 def test_commands_without_a_seeded_draw_load_no_numpy():

@@ -285,3 +285,50 @@ class TestPhaseMemo:
         for k in rng.uniform(0.0, 0.99, size=maxsize + 50):
             complete_K(float(k))
         assert _agm_phases.cache_info().currsize == maxsize
+
+
+def _mpmath_F(phi, k):
+    with mpmath.workdps(30):
+        return float(mpmath.ellipf(phi, mpmath.mpf(k) ** 2))
+
+
+class TestQuadratureOracle:
+    """oracles.quad_F, the battery's second route to F, against mpmath at 30 digits."""
+
+    def test_criterion_4_range(self, rng):
+        for k_unit, phi_unit in rng.random((300, 2)).tolist():
+            k, phi = 0.95 * k_unit, math.pi / 2 * phi_unit
+            assert abs(quad_F(phi, k) - _mpmath_F(phi, k)) <= 1e-14, (phi, k)
+
+    # 0.9983 is the modulus of rotation_number(1, 0.4, a) for a near R - r,
+    # where a single fixed rule on [0, pi] is off by 0.07
+    @pytest.mark.parametrize("k", [0.99, 0.999, 0.9983, 0.9999])
+    @pytest.mark.parametrize("phi", [1.3, math.pi / 2, math.pi])
+    def test_near_unit_modulus(self, k, phi):
+        assert quad_F(phi, k) == pytest.approx(_mpmath_F(phi, k), rel=1e-14, abs=0.0)
+
+    # negative phi by oddness, and beyond pi by whole periods
+    @pytest.mark.parametrize("k", [0.0, 0.5, 0.9999])
+    @pytest.mark.parametrize("phi", [-1.3, -math.pi, 4.0, 100.0, -1e4])
+    def test_whole_line(self, k, phi):
+        assert quad_F(phi, k) == pytest.approx(_mpmath_F(phi, k), rel=1e-14, abs=0.0)
+        assert quad_F(-phi, k) == -quad_F(phi, k)
+
+    def test_agrees_with_quadpack(self, rng):
+        from scipy.integrate import quad
+
+        for k_unit, phi_unit in rng.random((50, 2)).tolist():
+            k, phi = 0.95 * k_unit, math.pi / 2 * phi_unit
+            reference, _ = quad(lambda x: 1.0 / math.sqrt(1.0 - (k * math.sin(x)) ** 2),
+                                0.0, phi, epsabs=1e-13, epsrel=1e-13)
+            assert abs(quad_F(phi, k) - reference) <= 1e-13, (phi, k)
+
+    @pytest.mark.parametrize("k", [-0.1, 1.0, 1.5, math.nan])
+    def test_modulus_outside_domain(self, k):
+        with pytest.raises(DomainError, match="outside 0 <= k < 1"):
+            quad_F(1.0, k)
+
+    @pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan])
+    def test_amplitude_not_finite(self, phi):
+        with pytest.raises(DomainError, match="is not finite"):
+            quad_F(phi, 0.5)

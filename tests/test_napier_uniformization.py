@@ -166,7 +166,7 @@ class TestKOfOmega:
         assert abs(offset) < _NEAR_CRITICAL
         assert k_of_omega(OMEGA_CRITICAL + offset) == 0.0
 
-    # the brentq inverse over whole frames is the oracle for the spectral
+    # the bisection inverse over whole frames is the oracle for the spectral
     # route; its own properties are pinned by the next three tests
     @pytest.mark.parametrize("ulps", [-2, -1, 0, 1, 2])
     def test_regular_whichever_side_k0_rounds(self, ulps, monkeypatch):
