@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import math
 import os
 import sys
@@ -24,7 +23,7 @@ from .errors import (DomainError, GeometryError, NoSolutionError, PentagrammaErr
                      SubcriticalError)
 from .gauss_projection import pentagon_from_frame
 from .napier_uniformization import (alpha_sequence, beta_sequence, frame_vectors,
-                                    k_of_omega, omega_of_k)
+                                    k_of_omega, omega_of_k, sweep_frames)
 from .pentagram_algebra import (build_sphere_vertices, complete_from_two,
                                 orthogonality_residuals, pentagram_invariants)
 from .dilogarithm import pentagon_five_term
@@ -153,12 +152,14 @@ def poncelet_svg(config: TwoCircleConfig, walk) -> str:
     return _svg_document(body, half_extent=1.15 * config.R)
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+def _write_csv(handle, header: list[str], rows) -> int:
+    """Write the header, then each row as it comes; the number of rows."""
+    writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
+    count = 0
+    for count, row in enumerate(rows, 1):
+        writer.writerow(row)
+    return count
 
 
 def _write_file(path: str, content: str) -> None:
@@ -224,14 +225,13 @@ def cmd_pentagram(args, out) -> RunReport:
     return report
 
 
-def _napier_row(k: float, u: float):
-    frame = frame_vectors(k, u)
+def _napier_row(frame):
     cycle = alpha_sequence(frame)
     betas = beta_sequence(frame)
     law = max(abs(r) for r in cycle.relation_residuals())
     five = abs(pentagon_five_term(betas))
     consistency = max(abs(b - v / (1.0 + v)) for b, v in zip(betas, cycle.alphas))
-    return frame, cycle, betas, law, five, consistency
+    return cycle, betas, law, five, consistency
 
 
 def cmd_napier(args, out) -> RunReport | None:
@@ -239,25 +239,26 @@ def cmd_napier(args, out) -> RunReport | None:
     if args.grid:
         import numpy as np
 
-        rng = np.random.default_rng(args.seed)
-        rows = []
-        for k in [round(0.1 * i, 1) for i in range(10)]:
-            quarter = complete_K(k)
-            for u in sorted(rng.uniform(0.0, 0.8 * quarter, size=args.samples)):
-                _, cycle, betas, law, five, _ = _napier_row(k, float(u))
-                rows.append([k, float(u), *cycle.alphas, *betas, law, five])
+        def rows():
+            for frame in sweep_frames(np.random.default_rng(args.seed),
+                                      [round(0.1 * i, 1) for i in range(10)], args.samples):
+                cycle, betas, law, five, _ = _napier_row(frame)
+                yield [format(v, ".17g")
+                       for v in (frame.k, frame.u, *cycle.alphas, *betas, law, five)]
+
         header = (["k", "u"] + [f"alpha_{j}" for j in range(5)]
                   + [f"beta_{j}" for j in range(5)]
                   + ["law_residual", "five_term_residual"])
-        content = _csv_text(header, [[format(v, ".17g") for v in row] for row in rows])
         if args.csv:
-            _write_file(args.csv, content)
-            out.write(f"wrote {len(rows)} rows to {args.csv}\n")
+            with open(args.csv, "w", encoding="utf-8") as handle:
+                count = _write_csv(handle, header, rows())
+            out.write(f"wrote {count} rows to {args.csv}\n")
         else:
-            out.write(content)
+            _write_csv(out, header, rows())
         return None
 
-    frame, cycle, betas, law, five, consistency = _napier_row(args.k, args.u)
+    frame = frame_vectors(args.k, args.u)
+    cycle, betas, law, five, consistency = _napier_row(frame)
     report = RunReport(
         command="napier",
         inputs={"k": args.k, "u": args.u},
@@ -352,8 +353,9 @@ def cmd_poncelet(args, out) -> RunReport:
             _write_file(args.svg, poncelet_svg(config, walk))
             report.outputs["svg"] = args.svg
         if args.csv:
-            _write_file(args.csv, _csv_text(["i", "phi"], [
-                [i, format(float(phi), ".17g")] for i, phi in enumerate(walk.phis)]))
+            with open(args.csv, "w", encoding="utf-8") as handle:
+                _write_csv(handle, ["i", "phi"], ([i, format(float(phi), ".17g")]
+                                                  for i, phi in enumerate(walk.phis)))
             report.outputs["csv"] = args.csv
     return report
 

@@ -137,7 +137,7 @@ def jacobi_sum(u: float, v: float, k: float) -> JacobiTriple:
     if abs(denom) <= DEFAULT_TOL:
         # denom >= 1 - k^2 > 0 for any real arguments, so reaching this
         # means the kernel itself broke.
-        raise DomainError(f"addition-formula denominator vanished: {denom!r}")
+        raise InvariantError(f"addition-formula denominator vanished: {denom!r}")
     sn = (su * cv * dv + cu * sv * du) / denom
     cn = (cu * cv - su * sv * du * dv) / denom
     dn = (du * dv - k * k * su * sv * cu * cv) / denom

@@ -8,6 +8,7 @@ and its product recovers the shape invariant omega as a function of k alone.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from . import cone_spectrum
@@ -45,6 +46,18 @@ def frame_vectors(k: float, u: float) -> PentagonFrame:
         sn, cn, _ = jacobi_triple(u + 0.8 * quarter * j, k)
         rows.append((cn / root_c, root_d * sn / root_c, 1.0))
     return PentagonFrame(k=k, u=u, K=quarter, cn_fifth=cn5, dn_fifth=dn5, vectors=tuple(rows))
+
+
+def sweep_frames(rng, ks, samples: int) -> Iterator[PentagonFrame]:
+    """Frames on the (k, u) lattice, one k after another.
+
+    Per k, `samples` u are drawn from rng uniform on [0, 0.8K), which covers
+    the frame's period up to row order; the frames follow in increasing u.
+    """
+    for k in ks:
+        quarter = complete_K(k)
+        for u in sorted(rng.uniform(0.0, 0.8 * quarter, size=samples)):
+            yield frame_vectors(k, float(u))
 
 
 def _chords(f: PentagonFrame) -> list[tuple[float, float, float]]:

@@ -12,16 +12,14 @@ from dataclasses import dataclass
 
 from . import (cone_spectrum, dilogarithm, elliptic_kernel, gauss_projection,
                napier_uniformization, oracles, pentagram_algebra, poncelet)
-from .errors import ChordDegenerateError, NoSolutionError, PentagrammaError
+from .errors import NoSolutionError
 from .pentagram_algebra import GOLDEN
 
 PI = math.pi
 
-# gaps with cosine below this are treated as chord-degenerate and skipped
-# (grids at the default seed never trigger it; the policy still applies)
-_GAP_COSINE_FLOOR = 0.1
+# the moduli of the pentagon-law and five-term sweeps, 20 u per k
+_GRID_KS = [0.1 * i for i in range(10)]
 _SAMPLES_PER_K = 20
-_MIN_VALID_SAMPLES = 15
 
 
 @dataclass
@@ -39,27 +37,6 @@ class Check:
 class _Collector(list):
     def add(self, name: str, residual: float, tol: float, detail: str = "") -> None:
         self.append(Check(name=name, residual=float(residual), tol=tol, detail=detail))
-
-
-def _grid_frames(rng, ks):
-    """(frame, betas) samples per k with the chord-degenerate skip policy applied."""
-    for k in ks:
-        quarter = elliptic_kernel.complete_K(k)
-        us = rng.uniform(0.0, 0.8 * quarter, size=_SAMPLES_PER_K)
-        valid = []
-        for u in us:
-            frame = napier_uniformization.frame_vectors(k, float(u))
-            try:
-                betas = napier_uniformization.beta_sequence(frame)
-            except ChordDegenerateError:
-                continue
-            # beta is the squared sine of the gap, so cos^2 = 1 - beta
-            if max(betas) <= 1.0 - _GAP_COSINE_FLOOR ** 2:
-                valid.append((frame, betas))
-        if len(valid) < _MIN_VALID_SAMPLES:
-            raise PentagrammaError(
-                f"too many chord-degenerate samples at k={k}: {len(valid)}/{_SAMPLES_PER_K}")
-        yield k, valid
 
 
 def criterion_1(col: _Collector, rng) -> None:
@@ -135,10 +112,9 @@ def criterion_4(col: _Collector, rng) -> None:
 def criterion_5(col: _Collector, rng) -> None:
     """Pentagon law on the (k, u) grid; regular values at k = 0."""
     worst_law = 0.0
-    for _, frames in _grid_frames(rng, [0.1 * i for i in range(10)]):
-        for frame, _ in frames:
-            cycle = napier_uniformization.alpha_sequence(frame)
-            worst_law = max(worst_law, max(abs(r) for r in cycle.relation_residuals()))
+    for frame in napier_uniformization.sweep_frames(rng, _GRID_KS, _SAMPLES_PER_K):
+        cycle = napier_uniformization.alpha_sequence(frame)
+        worst_law = max(worst_law, max(abs(r) for r in cycle.relation_residuals()))
     col.add("law.grid", worst_law, 1e-10)
 
     frame = napier_uniformization.frame_vectors(0.0, float(rng.uniform(0.0, 2.0)))
@@ -247,9 +223,9 @@ def criterion_9(col: _Collector, rng) -> None:
     col.add("dilog.spence", worst_spence, 1e-11)
 
     worst_sum = 0.0
-    for _, frames in _grid_frames(rng, [0.1 * i for i in range(10)]):
-        for _, betas in frames:
-            worst_sum = max(worst_sum, abs(dilogarithm.pentagon_five_term(betas)))
+    for frame in napier_uniformization.sweep_frames(rng, _GRID_KS, _SAMPLES_PER_K):
+        worst_sum = max(worst_sum, abs(dilogarithm.pentagon_five_term(
+            napier_uniformization.beta_sequence(frame))))
     col.add("dilog.pentagon_sum", worst_sum, 1e-10)
 
 

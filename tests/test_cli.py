@@ -117,6 +117,24 @@ class TestNapier:
         assert lines[0].startswith("k,u,alpha_0")
         assert len(lines) == 1 + 10 * 4
 
+    def test_grid_stdout_matches_csv_file(self, tmp_path):
+        target = tmp_path / "sweep.csv"
+        code, written = run_cli(["napier", "--grid", "--samples", "3", "--seed", "5",
+                                 "--csv", str(target)])
+        assert (code, written) == (0, f"wrote 30 rows to {target}\n")
+        code, streamed = run_cli(["napier", "--grid", "--samples", "3", "--seed", "5"])
+        assert code == 0
+        assert target.read_bytes() == streamed.encode("utf-8")
+
+    def test_grid_zero_samples_header_only(self, tmp_path):
+        header = ("k,u,alpha_0,alpha_1,alpha_2,alpha_3,alpha_4,beta_0,beta_1,beta_2,"
+                  "beta_3,beta_4,law_residual,five_term_residual\n")
+        assert run_cli(["napier", "--grid", "--samples", "0"]) == (0, header)
+        target = tmp_path / "empty.csv"
+        code, written = run_cli(["napier", "--grid", "--samples", "0", "--csv", str(target)])
+        assert (code, written) == (0, f"wrote 0 rows to {target}\n")
+        assert target.read_text() == header
+
     def test_grid_deterministic(self):
         _, first = run_cli(["napier", "--grid", "--samples", "3"])
         _, second = run_cli(["napier", "--grid", "--samples", "3"])

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ellipkinc
 
+from pentagramma import elliptic_kernel
 from pentagramma.elliptic_kernel import (MAX_ARGUMENT, MAX_MODULUS, _agm_phases, am,
                                          complete_K, half_angle_tan, incomplete_F,
                                          jacobi_sum, jacobi_triple)
-from pentagramma.errors import DomainError, NearPoleError
+from pentagramma.errors import DomainError, InvariantError, NearPoleError
 from pentagramma.oracles import invert_quad_F, quad_F, quad_K
 
 # frozen against an adaptive-quadrature / series evaluation of the defining
@@ -219,6 +220,14 @@ class TestAdditionFormulas:
             s = jacobi_sum(u, v, k)
             d = jacobi_triple(u + v, k)
             assert tuple(s) == pytest.approx(tuple(d), abs=1e-12)
+
+    def test_vanishing_denominator_is_a_kernel_fault(self, monkeypatch):
+        # denom >= 1 - k^2 for real triples; a broken triple sn = sqrt(2)
+        # drives 1 - (k sn_u sn_v)^2 to zero at k = 1/2
+        monkeypatch.setattr(elliptic_kernel, "jacobi_triple",
+                            lambda u, k: (math.sqrt(2.0), 0.0, 1.0))
+        with pytest.raises(InvariantError, match="denominator vanished"):
+            jacobi_sum(0.1, 0.2, 0.5)
 
     def test_main_formula(self, rng):
         for _ in range(200):

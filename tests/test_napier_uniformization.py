@@ -9,11 +9,11 @@ from pentagramma import napier_uniformization
 from pentagramma.cone_spectrum import (_NEAR_CRITICAL, OMEGA_CRITICAL,
                                        modulus_from_spectrum, solve_characteristic)
 from pentagramma.elliptic_kernel import MAX_MODULUS, complete_K, jacobi_triple
-from pentagramma.errors import DomainError, SubcriticalError
+from pentagramma.errors import ChordDegenerateError, DomainError, SubcriticalError
 from pentagramma.gauss_projection import pentagon_from_frame
-from pentagramma.napier_uniformization import (OMEGA_MAX, alpha_sequence, beta_sequence,
-                                               frame_vectors, k_of_omega,
-                                               omega_of_k)
+from pentagramma.napier_uniformization import (OMEGA_MAX, PentagonFrame, alpha_sequence,
+                                               beta_sequence, frame_vectors, k_of_omega,
+                                               omega_of_k, sweep_frames)
 from pentagramma.oracles import chord_alphas, chord_betas, invert_omega_of_k
 from pentagramma.pentagram_algebra import GOLDEN
 
@@ -52,6 +52,20 @@ class TestFrameVectors:
     def test_bad_modulus(self):
         with pytest.raises(DomainError):
             frame_vectors(1.2, 0.0)
+
+
+class TestSweepFrames:
+    def test_draws_sorted_u_per_k_from_the_stream(self):
+        ks = [0.0, 0.5, 0.9]
+        frames = list(sweep_frames(np.random.default_rng(4), ks, 6))
+        rng = np.random.default_rng(4)
+        want = [(k, float(u)) for k in ks
+                for u in sorted(rng.uniform(0.0, 0.8 * complete_K(k), size=6))]
+        assert [(f.k, f.u) for f in frames] == want
+        assert frames[7].vectors == frame_vectors(0.5, want[7][1]).vectors
+
+    def test_zero_samples_yield_nothing(self):
+        assert list(sweep_frames(np.random.default_rng(0), K_GRID, 0)) == []
 
 
 class TestAlphaSequence:
@@ -109,6 +123,34 @@ class TestBetaSequence:
         for k in (0.2, 0.7, 0.9):
             f = frame_vectors(k, float(rng.uniform(0, 1)))
             assert all(0.0 < b < 1.0 for b in beta_sequence(f))
+
+
+def hand_frame(*rows):
+    return PentagonFrame(k=0.0, u=0.0, K=math.pi / 2, cn_fifth=1.0, dn_fifth=1.0,
+                         vectors=rows + ((1.0, 0.0, 1.0),) * (5 - len(rows)))
+
+
+class TestChordGuards:
+    @pytest.mark.parametrize("sequence", [alpha_sequence, beta_sequence])
+    def test_orthogonal_rays_named(self, sequence):
+        frame = hand_frame((1.0, 0.0, 1.0), (-1.0, 0.0, 1.0))
+        with pytest.raises(ChordDegenerateError, match="rays 0 and 1 orthogonal"):
+            sequence(frame)
+
+    def test_nearly_orthogonal_alpha_overflows(self):
+        # a.b = 1e-6 passes the orthogonality guard; alpha ~ 4e12 exceeds ALPHA_MAX
+        frame = hand_frame((1.0, 0.0, 1.0), (-1.0 + 1e-6, 0.0, 1.0))
+        with pytest.raises(ChordDegenerateError, match="overflows"):
+            alpha_sequence(frame)
+        assert max(beta_sequence(frame)) < 1.0
+
+    def test_gap_cosines_far_from_the_guards_on_the_sweep(self):
+        # beta is the squared sine of a gap; [0, 0.8K) is the frame's whole
+        # period up to row order, and the smallest cosine there is 0.474
+        worst = min(math.sqrt(1.0 - max(beta_sequence(frame_vectors(k, float(u)))))
+                    for k in K_GRID
+                    for u in np.linspace(0.0, 0.8 * complete_K(k), 401, endpoint=False))
+        assert worst >= 0.4
 
 
 def numpy_chords(f):
