@@ -444,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _report_error(args, out, exc: PentagrammaError, label: str, code: int) -> int:
+def _report_error(args, out, exc: PentagrammaError | OSError, label: str, code: int) -> int:
     """Name a typed error on stderr and, under --json, as a JSON document on out."""
     print(f"{label}: {exc}", file=sys.stderr)
     if args.json:
@@ -470,6 +470,8 @@ def main(argv=None, out=None) -> int:
         return _report_error(args, out, exc, "search failed", _EXIT_SEARCH)
     except PentagrammaError as exc:
         return _report_error(args, out, exc, "invariant violation", _EXIT_INVARIANT)
+    except OSError as exc:  # an unwritable --csv or --svg path
+        return _report_error(args, out, exc, "cannot write", _EXIT_DOMAIN)
     if report is None:
         return 0
     if args.func is not cmd_verify_all:  # verify-all applies it per criterion

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .cone_spectrum import SpectralTriple
 from .errors import InvariantError, OffEllipseError, SingularError
 from .napier_uniformization import PentagonFrame
+from .pentagram_algebra import orthogonality_residuals
 
 TWO_PI = 2.0 * math.pi
 
@@ -24,7 +25,7 @@ _COLLINEAR_TOL = 1e-12
 
 @dataclass(frozen=True)
 class PlanarPentagon:
-    """Projected vertices, fitted semi-axes, and unwrapped anomalies.
+    """Projected vertices, the lattice's semi-axes, and unwrapped anomalies.
 
     anomalies[0] lies in [0, 2pi); the sequence increases and gains exactly
     2pi per full cycle, so anomaly(j) is well defined for any integer j.
@@ -42,22 +43,6 @@ class PlanarPentagon:
         return self.anomalies[r] + TWO_PI * q
 
 
-def _fit_axes(pts) -> tuple[float, float]:
-    """Exact two-point solve of x^2/A + y^2/B = 1 by Cramer's rule, first workable pair."""
-    for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3)):
-        (xi, yi), (xj, yj) = pts[i], pts[j]
-        p, q = xi * xi, yi * yi
-        r, s = xj * xj, yj * yj
-        det = p * s - q * r
-        if abs(det) > 1e-12 * max(1.0, max(p, q, r, s) ** 2):
-            inv_a2 = (s - q) / det
-            inv_b2 = (p - r) / det
-            if inv_a2 <= 0.0 or inv_b2 <= 0.0:
-                raise InvariantError("points do not span an origin-centred ellipse")
-            return 1.0 / math.sqrt(inv_a2), 1.0 / math.sqrt(inv_b2)
-    raise InvariantError("all vertex pairs degenerate for the axes solve")
-
-
 def eccentric_anomaly(point, axes) -> float:
     """Angle phi in [0, 2pi) with point = (a cos phi, b sin phi)."""
     x, y = point
@@ -70,19 +55,12 @@ def eccentric_anomaly(point, axes) -> float:
 
 
 def pentagon_from_frame(f: PentagonFrame) -> PlanarPentagon:
-    """Drop the frame rays to the plane and recover axes and anomalies."""
+    """Drop the frame rays to the plane; the axes are the lattice's (g', g'')."""
     rows = tuple((x, y) for x, y, _ in f.vectors)
-    axes = _fit_axes(rows)
-    inv_a2 = 1.0 / axes[0] ** 2
-    inv_b2 = 1.0 / axes[1] ** 2
-    for x, y in rows:
-        if abs(x * x * inv_a2 + y * y * inv_b2 - 1.0) > _FIT_TOL:
-            raise InvariantError("vertices do not share one axis-aligned ellipse")
-    for i in range(5):
-        xp, yp = rows[(i - 1) % 5]
-        xn, yn = rows[(i + 1) % 5]
-        if abs(xp * xn + yp * yn + 1.0) > _FIT_TOL:
-            raise InvariantError("next-nearest rays are not orthogonal")
+    root_c = math.sqrt(f.cn_fifth)
+    axes = (1.0 / root_c, math.sqrt(f.dn_fifth) / root_c)
+    if max(abs(r) for r in orthogonality_residuals(f.vectors)) > _FIT_TOL:
+        raise InvariantError("next-nearest rays are not orthogonal")
 
     raw = [eccentric_anomaly(p, axes) for p in rows]
     unwrapped = [raw[0]]

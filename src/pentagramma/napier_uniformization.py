@@ -22,7 +22,7 @@ _ORTHOGONAL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class PentagonFrame:
-    """The five ray endpoints r_j(k, u) with cached lattice constants."""
+    """The five ray endpoints r_j(k, u) with the lattice constants the projection reads."""
 
     k: float
     u: float

@@ -454,6 +454,23 @@ def test_error_reaches_json_consumers(argv, code, error, inputs, capsys):
     assert doc["inputs"] == inputs
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["napier", "--k", "0.5", "--u", "0.3"], "--svg"),
+    (["poncelet", "--R", "1", "--r", "0.3", "--solve", "5", "2"], "--csv"),
+    (["napier", "--grid", "--samples", "2"], "--csv")],
+    ids=["napier-svg", "poncelet-csv", "napier-grid-csv"])
+def test_unwritable_output_path(argv, flag, tmp_path, capsys):
+    # a domain error of the inputs (exit 2), not a failed check and not a traceback
+    target = str(tmp_path / "missing" / "out")
+    code, output = run_cli([*argv, flag, target, "--json"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert target in err and "Traceback" not in err
+    doc = assert_error_document(output, argv[0], "FileNotFoundError", err)
+    assert doc["inputs"][flag[2:]] == target
+    assert not (tmp_path / "missing").exists()
+
+
 class TestJsonShape:
     def test_keys_sorted(self):
         _, output = run_cli(["bridge", "--omega", "20", "--json"])

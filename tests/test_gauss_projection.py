@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,10 +6,9 @@ import pytest
 
 from pentagramma.cone_spectrum import (modulus_from_spectrum, solve_characteristic)
 from pentagramma.errors import InvariantError, OffEllipseError, SingularError
-from pentagramma.gauss_projection import (PlanarPentagon, _fit_axes, confocal_residual,
-                                          eccentric_anomaly, gauss_theorem_residuals,
-                                          pentagon_from_frame, recover_from_pm1,
-                                          recover_from_pm2)
+from pentagramma.gauss_projection import (PlanarPentagon, confocal_residual, eccentric_anomaly,
+                                          gauss_theorem_residuals, pentagon_from_frame,
+                                          recover_from_pm1, recover_from_pm2)
 from pentagramma.napier_uniformization import alpha_sequence, frame_vectors
 from pentagramma.oracles import chord_alphas, chord_betas
 from pentagramma.pentagram_algebra import GOLDEN
@@ -53,12 +53,12 @@ class TestPentagonFromFrame:
         assert steps == pytest.approx(np.full(5, 2 * math.pi / 5), abs=1e-12)
 
     def test_axes_match_root_ratios(self):
-        for k in (0.3, k_for_omega20()):
+        for k in (0.0099, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.98, k_for_omega20()):
             _, pentagon, s = make_case(k, 0.4)
             assert pentagon.axes[0] == pytest.approx(
-                math.sqrt(-s.G / s.Gp), abs=1e-8)
+                math.sqrt(-s.G / s.Gp), rel=1e-10, abs=0.0)
             assert pentagon.axes[1] == pytest.approx(
-                math.sqrt(-s.G / s.Gpp), abs=1e-8)
+                math.sqrt(-s.G / s.Gpp), rel=1e-10, abs=0.0)
 
     def test_anomalies_increase(self):
         _, pentagon, _ = make_case(0.7, 0.9)
@@ -73,30 +73,19 @@ class TestPentagonFromFrame:
             xn, yn = pentagon.point(i + 1)
             assert xp * xn + yp * yn + 1.0 == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("field", ["cn_fifth", "dn_fifth"])
+    def test_lattice_constant_checked_against_rows(self, field):
+        frame = frame_vectors(0.5, 0.3)
+        bent = dataclasses.replace(frame, **{field: getattr(frame, field) * (1 + 1e-8)})
+        with pytest.raises(OffEllipseError):
+            pentagon_from_frame(bent)
 
-class TestFitAxes:
-    def test_matches_linear_solve(self, rng):
-        for _ in range(200):
-            a, b = rng.uniform(0.1, 10.0, size=2)
-            t = rng.uniform(0.0, 2 * math.pi, size=5)
-            pts = [(a * math.cos(v), b * math.sin(v)) for v in t]
-            (x0, y0), (x1, y1) = pts[0], pts[1]
-            inv_a2, inv_b2 = np.linalg.solve([[x0 ** 2, y0 ** 2], [x1 ** 2, y1 ** 2]],
-                                             np.ones(2))
-            want = (1.0 / math.sqrt(inv_a2), 1.0 / math.sqrt(inv_b2))
-            assert _fit_axes(pts) == pytest.approx(want, rel=1e-12, abs=0.0)
-            assert _fit_axes(np.array(pts)) == pytest.approx(want, rel=1e-12, abs=0.0)
-
-    def test_degenerate_pairs_rejected(self):
-        # every vertex has the same x^2 and y^2, so no pair fixes the axes
-        pts = [(1.0, 2.0), (-1.0, 2.0), (1.0, -2.0), (-1.0, -2.0), (1.0, 2.0)]
-        with pytest.raises(InvariantError, match="degenerate"):
-            _fit_axes(pts)
-
-    def test_hyperbola_rejected(self):
-        pts = [(1.0, 0.0), (math.sqrt(2.0), 1.0), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0)]
-        with pytest.raises(InvariantError, match="ellipse"):
-            _fit_axes(pts)
+    def test_moved_row_rejected(self):
+        frame = frame_vectors(0.5, 0.3)
+        x, y, z = frame.vectors[2]
+        rows = frame.vectors[:2] + ((x * 1.001, y, z),) + frame.vectors[3:]
+        with pytest.raises(InvariantError, match="next-nearest rays are not orthogonal"):
+            pentagon_from_frame(dataclasses.replace(frame, vectors=rows))
 
 
 class TestChordQuantities:
