@@ -28,7 +28,6 @@ from .pentagram_algebra import (GOLDEN, AlphaCycle, NapierParts, SpherePentagon,
                                 sides_from_alphas, verify_napier)
 from .poncelet import (PonceletTrajectory, TwoCircleConfig, chord_step,
                        closure_residual, modulus_of_config, modulus_residual,
-                       porism_residual, search_closing_config, trajectory,
-                       validate_config)
+                       porism_residual, search_closing_config, trajectory)
 
 __version__ = "0.1.0"

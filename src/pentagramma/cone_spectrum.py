@@ -37,12 +37,17 @@ class ConeQuadric:
 
 @dataclass(frozen=True)
 class SpectralTriple:
-    """Real roots G < 0 < Gp <= Gpp of t(2t-1)^2 = omega(t-1)."""
+    """Real roots G < 0 < Gp <= Gpp of t(2t-1)^2 = omega(t-1), an order checked when made."""
 
     G: float
     Gp: float
     Gpp: float
     omega: float
+
+    def __post_init__(self):
+        if not self.G < 0.0 < self.Gp <= self.Gpp:
+            raise DegenerateError(f"malformed spectral triple {(self.G, self.Gp, self.Gpp)} "
+                                  f"for omega={self.omega!r}: need G < 0 < Gp <= Gpp")
 
     def product_residuals(self) -> tuple[float, float, float]:
         """Scaled residuals of the three root-product identities.
@@ -125,8 +130,6 @@ def solve_characteristic(omega: float) -> SpectralTriple:
             t -= _cubic(t, omega) / _cubic_derivative(t, omega)
         polished.append(t)
     G, Gp, Gpp = sorted(polished)
-    if not (G < 0.0 < Gp <= Gpp):
-        raise InvariantError(f"root structure broken for omega={omega!r}: {polished}")
     return SpectralTriple(G=G, Gp=Gp, Gpp=Gpp, omega=omega)
 
 
@@ -138,8 +141,6 @@ def modulus_from_spectrum(s: SpectralTriple) -> tuple[float, float, float]:
     the returned cn is then cos(pi/5).
     """
     G, Gp, Gpp = s.G, s.Gp, s.Gpp
-    if not (G < 0.0 < Gp <= Gpp):
-        raise DegenerateError(f"malformed spectral triple {(G, Gp, Gpp)}")
     cnw = -Gp / G
     dnw = Gp / Gpp
     if Gpp - Gp <= 1e-12 * Gpp:

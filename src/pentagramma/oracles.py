@@ -157,10 +157,9 @@ def invert_omega_of_k(omega):
 
     The bracket is halved until it is 1e-15 wide in k, and the midpoint with
     the smallest residual is returned.  Where omega grows, that is an end of
-    the last bracket; near k = 0, where omega - omega_c ~ k^4 sits below the
-    frame's rounding of a few ulps, it is the best k the bisection met.
-    Monotone growth of omega in k is relied on for the bracket (verified on
-    a grid by the tests, not proved).
+    the last bracket.  Below k ~ 5e-4 omega is not monotone at the ulp level:
+    omega - omega_c (true size about k^4) reads a few ulps of either sign, so
+    the inverse is only defined to within [0, ~5e-4], the best k the bisection met.
     """
     omega_of_k = napier_uniformization.omega_of_k
     k_max = 0.999999

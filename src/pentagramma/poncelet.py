@@ -26,11 +26,30 @@ if TYPE_CHECKING:  # numpy is imported where the walk is built, not with the mod
 
 @dataclass(frozen=True)
 class TwoCircleConfig:
-    """Outer radius R, inner radius r, centre distance a."""
+    """Outer radius R, inner radius r, centre distance a, checked when made.
+
+    R is finite, 0 <= a < r and a + r < R: the circles are strictly nested and
+    the outer centre lies inside the inner circle.  GeometryError names a broken bound.
+    """
 
     R: float
     r: float
     a: float
+
+    def __post_init__(self):
+        R, r, a = self.R, self.r, self.a
+        if not 0.0 < R < math.inf:
+            raise GeometryError(f"outer radius R={R!r} must be finite and positive")
+        if not r > 0.0:
+            raise GeometryError(f"inner radius r={r!r} must be positive")
+        if not a >= 0.0:
+            raise GeometryError(f"centre distance a={a!r} must be nonnegative")
+        if a + r >= R:
+            raise GeometryError(
+                f"inner circle not strictly nested: a + r = {a + r!r} >= R = {R!r}")
+        if a >= r:
+            raise GeometryError(
+                f"outer centre must lie inside the inner circle: a = {a!r} >= r = {r!r}")
 
 
 @dataclass(frozen=True)
@@ -41,43 +60,22 @@ class PonceletTrajectory:
     config: TwoCircleConfig
 
 
-def validate_config(c: TwoCircleConfig) -> None:
-    """Check that the radii are finite and positive and the circles strictly nested."""
-    if not 0.0 < c.R < math.inf:
-        raise GeometryError(f"outer radius R={c.R!r} must be finite and positive")
-    if not c.r > 0.0:
-        raise GeometryError(f"inner radius r={c.r!r} must be positive")
-    if not c.a >= 0.0:
-        raise GeometryError(f"centre distance a={c.a!r} must be nonnegative")
-    if c.a + c.r >= c.R:
-        raise GeometryError(
-            f"inner circle not strictly nested: a + r = {c.a + c.r!r} >= R = {c.R!r}")
-    if c.a >= c.r:
-        raise GeometryError(
-            f"outer centre must lie inside the inner circle: a = {c.a!r} >= r = {c.r!r}")
-
-
 def modulus_of_config(c: TwoCircleConfig) -> tuple[float, float]:
     """Elliptic modulus and chord amplitude: k^2 = 4Ra/((R+a)^2 - r^2), cos(alpha) = r/(R+a)."""
-    validate_config(c)
     R, r, a = c.R, c.r, c.a
     k2 = 4.0 * R * a / ((R + a) ** 2 - r ** 2)
     if k2 >= 1.0:
         raise DomainError("modulus reached 1; circles are not strictly nested")
     k = math.sqrt(k2)
     alpha = math.acos(r / (R + a))
-    lhs = math.sqrt(1.0 - k2 * math.sin(alpha) ** 2)
-    rhs = (R - a) / (R + a)
-    if abs(lhs - rhs) > 1e-12:
-        raise InvariantError(f"modulus consistency broke: {lhs!r} vs {rhs!r}")
+    residual = modulus_residual(c, k, alpha)
+    if residual > 1e-12:
+        raise InvariantError(f"modulus consistency broke: residual {residual!r} > 1e-12")
     return k, alpha
 
 
 def modulus_residual(c: TwoCircleConfig, k: float, alpha: float) -> float:
-    """Worse of |sqrt(1 - k^2 sin^2 alpha) - (R-a)/(R+a)| and |cos(alpha) - r/(R+a)|.
-
-    modulus_of_config asserts only the first; a miss in the second is left to the checks.
-    """
+    """Worse of |sqrt(1 - k^2 sin^2 alpha) - (R-a)/(R+a)| and |cos(alpha) - r/(R+a)|."""
     R, r, a = c.R, c.r, c.a
     return max(abs(math.sqrt(1.0 - (k * math.sin(alpha)) ** 2) - (R - a) / (R + a)),
                abs(math.cos(alpha) - r / (R + a)))
@@ -97,7 +95,6 @@ def chord_step(c: TwoCircleConfig, phi: float, prev: float | None = None) -> flo
     tan((next+prev)/2) = (R-a)/(R+a) tan(phi) is asserted in cross-multiplied
     form (the tan form has poles on any long trajectory).
     """
-    validate_config(c)
     R, r, a = c.R, c.r, c.a
     sin_phi, cos_phi = math.sin(phi), math.cos(phi)
     re_part = R + a * (cos_phi - sin_phi) * (cos_phi + sin_phi)
@@ -243,20 +240,19 @@ def _brent(f, xpre: float, xcur: float, fpre: float, fcur: float) -> float:
 def search_closing_config(n: int, m: int, R: float, r: float) -> TwoCircleConfig:
     """Centre distance making the (n, m) walk close, by Brent's bracketed search.
 
-    The bracket [0, min(r, R-r)) keeps every probed configuration valid.
-    A walk with 2m >= n is refused before any evaluation: cos(alpha) =
-    r/(R+a) > 0 puts alpha below pi/2, so the forward rotation number
-    F(alpha)/2K stays below 1/2.  Otherwise NoSolutionError is raised when
-    the closure residual does not change sign on the bracket, naming the
-    bound that is violated: the concentric limit r < R cos(pi m/n), where
-    the rotation number peaks at a = 0 with arccos(r/R)/pi (e.g. a 5/2
-    star needs r below about 0.31 R), or else the bracket edge.  At the
-    concentric limit itself the regular star a = 0 is returned, its residual
-    within a few ulps of pi of zero.
+    The a = 0 configuration is made first, so a pair that is not nested
+    raises GeometryError before anything else, and the bracket
+    [0, min(r, R-r)) keeps every probed configuration valid.  A walk with
+    2m >= n is refused before any evaluation: cos(alpha) = r/(R+a) > 0 puts
+    alpha below pi/2, so the forward rotation number F(alpha)/2K stays
+    below 1/2.  Otherwise NoSolutionError is raised when the closure residual
+    does not change sign on the bracket, naming the bound that is violated:
+    the concentric limit r < R cos(pi m/n), where the rotation number peaks
+    at a = 0 with arccos(r/R)/pi (e.g. a 5/2 star needs r below about
+    0.31 R), or else the bracket edge.  At the concentric limit itself the
+    regular star a = 0 is returned, its residual within a few ulps of pi of zero.
     """
-    for name, radius in (("R", R), ("r", r)):
-        if not 0.0 < radius < math.inf:
-            raise GeometryError(f"radius {name}={radius!r} must be finite and positive")
+    concentric = TwoCircleConfig(R=R, r=r, a=0.0)
     _check_walk(n, m)
     if 2 * m >= n:
         raise NoSolutionError(
@@ -270,20 +266,20 @@ def search_closing_config(n: int, m: int, R: float, r: float) -> TwoCircleConfig
     def res(a: float) -> float:
         return closure_residual(TwoCircleConfig(R=R, r=r, a=a), n, m)
 
-    lo = res(0.0)
+    lo = closure_residual(concentric, n, m)
     if lo == 0.0:
-        return TwoCircleConfig(R=R, r=r, a=0.0)
+        return concentric
     hi = res(upper)
     if math.copysign(1.0, lo) == math.copysign(1.0, hi):
         # at r = R cos(pi m/n) the regular star closes at a = 0, where F(pi, 0)
         # = pi, but its residual can round to a fraction of an ulp of pi below 0
         if abs(lo) <= _CONCENTRIC_ULPS * math.ulp(math.pi):
-            return TwoCircleConfig(R=R, r=r, a=0.0)
-        concentric = R * math.cos(math.pi * m / n)
-        if r > concentric:
+            return concentric
+        limit = R * math.cos(math.pi * m / n)
+        if r > limit:
             raise NoSolutionError(
                 f"inner radius r={r!r} is beyond the concentric limit "
-                f"R cos(pi m/n) = {concentric!r} for (n={n}, m={m}, R={R!r}); the "
+                f"R cos(pi m/n) = {limit!r} for (n={n}, m={m}, R={R!r}); the "
                 f"rotation number peaks at a = 0, so there is no closing configuration")
         raise NoSolutionError(
             f"closure residual keeps sign {lo:+.3e} .. {hi:+.3e} on the bracket "

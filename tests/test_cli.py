@@ -441,8 +441,10 @@ def test_exit_code_table(error, monkeypatch):
 @pytest.mark.parametrize("argv, code, error, inputs", [
     (["bridge", "--omega", "5"], 4, "SubcriticalError", {"omega": 5.0}),
     (["poncelet", "--R", "1", "--r", "0.4", "--solve", "5", "2"], 5, "NoSolutionError",
-     {"R": 1.0, "r": 0.4, "a": 0.0, "phi0": 0.0, "seed": 0, "solve": [5, 2], "steps": 30})],
-    ids=["bridge", "poncelet"])
+     {"R": 1.0, "r": 0.4, "a": 0.0, "phi0": 0.0, "seed": 0, "solve": [5, 2], "steps": 30}),
+    (["poncelet", "--R", "1", "--r", "1.5", "--solve", "5", "2"], 2, "GeometryError",
+     {"R": 1.0, "r": 1.5, "a": 0.0, "phi0": 0.0, "seed": 0, "solve": [5, 2], "steps": 30})],
+    ids=["bridge", "poncelet", "poncelet-unnested"])
 def test_error_reaches_json_consumers(argv, code, error, inputs, capsys):
     # stdout carried nothing for these under --json; the stderr text is unchanged
     assert run_cli(argv) == (code, "")

@@ -162,8 +162,15 @@ class TestModulusFromSpectrum:
             assert 0.0 < dnw <= 1.0
 
     def test_malformed_triple_rejected(self):
-        with pytest.raises(DegenerateError):
-            modulus_from_spectrum(SpectralTriple(G=1.0, Gp=2.0, Gpp=3.0, omega=20.0))
+        # the triple checks its root order when made, so no bridge sees a bad one
+        with pytest.raises(DegenerateError, match=re.escape("(1.0, 2.0, 3.0) for omega=20.0")):
+            SpectralTriple(G=1.0, Gp=2.0, Gpp=3.0, omega=20.0)
+
+    @pytest.mark.parametrize("roots", [(-1.0, 0.0, 2.0), (-1.0, 2.0, 1.0), (0.0, 1.0, 2.0),
+                                       (-1.0, math.nan, 2.0)])
+    def test_root_order_checked_when_made(self, roots):
+        with pytest.raises(DegenerateError, match="need G < 0 < Gp <= Gpp"):
+            SpectralTriple(*roots, omega=20.0)
 
 
 def test_bridge_property_across_omega_range():

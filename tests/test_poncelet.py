@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -12,35 +13,43 @@ from pentagramma.elliptic_kernel import am, incomplete_F
 from pentagramma.errors import DomainError, GeometryError, NoSolutionError
 from pentagramma.poncelet import (TwoCircleConfig, chord_step, closure_residual,
                                   modulus_of_config, search_closing_config,
-                                  trajectory, validate_config)
+                                  trajectory)
 
 
 class TestValidateConfig:
+    # a configuration checks itself once, when made; no later call re-checks it
     def test_valid(self):
-        assert validate_config(TwoCircleConfig(2.0, 1.0, 0.4)) is None
+        config = TwoCircleConfig(2.0, 1.0, 0.4)
+        assert (config.R, config.r, config.a) == (2.0, 1.0, 0.4)
 
     def test_centre_outside_inner(self):
         with pytest.raises(GeometryError):
-            validate_config(TwoCircleConfig(1.0, 0.5, 0.6))
+            TwoCircleConfig(1.0, 0.5, 0.6)
+        # nested, a + r < R, but the outer centre lies outside the inner circle
+        with pytest.raises(GeometryError, match="outer centre must lie inside"):
+            TwoCircleConfig(1.0, 0.3, 0.4)
 
     def test_not_nested(self):
-        with pytest.raises(GeometryError):
-            validate_config(TwoCircleConfig(1.0, 0.9, 0.2))
+        with pytest.raises(GeometryError, match="not strictly nested"):
+            TwoCircleConfig(1.0, 0.9, 0.2)
 
     def test_bad_radii(self):
-        with pytest.raises(GeometryError):
-            validate_config(TwoCircleConfig(1.0, -0.5, 0.2))
+        with pytest.raises(GeometryError, match=re.escape("inner radius r=-0.5")):
+            TwoCircleConfig(1.0, -0.5, 0.2)
 
     @pytest.mark.parametrize("config, named", [
-        (TwoCircleConfig(math.nan, 0.3, 0.1), "R=nan"),
-        (TwoCircleConfig(math.inf, 0.3, 0.1), "R=inf"),
-        (TwoCircleConfig(1.0, math.nan, 0.1), "r=nan"),
-        (TwoCircleConfig(1.0, 0.3, math.nan), "a=nan")])
+        ((math.nan, 0.3, 0.1), "R=nan"),
+        ((math.inf, 0.3, 0.1), "R=inf"),
+        ((1.0, math.nan, 0.1), "r=nan"),
+        ((1.0, 0.3, math.nan), "a=nan")])
     def test_non_finite_input_named(self, config, named):
         with pytest.raises(GeometryError, match=re.escape(named)):
-            validate_config(config)
-        with pytest.raises(GeometryError, match=re.escape(named)):
-            modulus_of_config(config)
+            TwoCircleConfig(*config)
+
+    def test_replace_is_checked(self):
+        valid = TwoCircleConfig(1.0, 0.5, 0.2)
+        with pytest.raises(GeometryError, match=re.escape("a + r = 1.1 >= R = 1.0")):
+            dataclasses.replace(valid, a=0.6)
 
 
 class TestModulus:
@@ -141,22 +150,21 @@ class TestChordStepProperties:
         assert abs(touched - config.r) < 1e-13
 
 
-UNNESTED = [TwoCircleConfig(1.0, 0.5, 0.6), TwoCircleConfig(1.0, 0.9, 0.2),
-            TwoCircleConfig(1.0, -0.5, 0.2), TwoCircleConfig(-1.0, 0.5, 0.2),
-            TwoCircleConfig(1.0, 0.5, -0.1)]
+# (R, r, a) breaking a bound: nesting (twice), r > 0, R > 0, a >= 0
+UNNESTED = [(1.0, 0.5, 0.6), (1.0, 0.9, 0.2), (1.0, -0.5, 0.2), (-1.0, 0.5, 0.2),
+            (1.0, 0.5, -0.1)]
 
 
 @pytest.mark.parametrize("config", UNNESTED)
 def test_walk_on_unnested_config_raises(config):
+    # no walk can start from an unnested pair: neither a new config nor a
+    # replaced valid one gets made, and both name the same bound
     with pytest.raises(GeometryError) as expected:
-        validate_config(config)
+        TwoCircleConfig(*config)
     message = re.escape(str(expected.value))
+    R, r, a = config
     with pytest.raises(GeometryError, match=message):
-        chord_step(config, 0.3)
-    with pytest.raises(GeometryError, match=message):
-        chord_step(config, 0.3, prev=0.1)
-    with pytest.raises(GeometryError, match=message):
-        trajectory(config, 0.3, 5)
+        dataclasses.replace(TwoCircleConfig(1.0, 0.5, 0.2), R=R, r=r, a=a)
 
 
 class TestTrajectory:
@@ -272,6 +280,12 @@ class TestSearchClosingConfig:
     def test_bad_radius_named(self, R, r, named):
         with pytest.raises(GeometryError, match=re.escape(named)):
             search_closing_config(5, 2, R, r)
+
+    @pytest.mark.parametrize("r", [1.5, 1.0])
+    def test_unnested_pair_is_a_geometry_error(self, r):
+        # a domain error of the pair, raised before any search
+        with pytest.raises(GeometryError, match=re.escape(f"a + r = {r!r} >= R = 1.0")):
+            search_closing_config(5, 2, 1.0, r)
 
     def test_oversized_inner_circle(self):
         # a 5/2 star cannot touch an inner circle beyond ~0.31 R
