@@ -1,4 +1,4 @@
-"""Real Jacobi elliptic functions for modulus 0 <= k < 1.
+"""Real Jacobi elliptic functions for modulus 0 <= k <= MAX_MODULUS.
 
 Everything is built on the arithmetic-geometric mean: the quarter-period K
 comes straight from the AGM limit, and the amplitude is evaluated by the
@@ -32,11 +32,6 @@ MAX_ARGUMENT = 1e300
 _MAX_AGM_ITER = 64
 
 
-def _check_modulus(k: float) -> None:
-    if not 0.0 <= k <= MAX_MODULUS:
-        raise DomainError(f"modulus k={k!r} outside [0, 1 - 1e-12]")
-
-
 def _check_argument(name: str, x: float) -> None:
     if not abs(x) <= MAX_ARGUMENT:
         raise DomainError(f"argument {name}={x!r} is not a finite number "
@@ -46,23 +41,26 @@ def _check_argument(name: str, x: float) -> None:
 # Callers sweep a few moduli many times over; the bound keeps a stream of
 # fresh k (the battery draws hundreds per run) from growing the memo.
 @functools.lru_cache(maxsize=256)
-def _agm_phases(k: float) -> tuple[float, tuple[float, ...], tuple[tuple[float, float], ...]]:
+def _agm_phases(k: float) -> tuple[float, float, tuple, tuple]:
     """AGM of (a_0, b_0, c_0) = (1, k', k) to machine convergence.
 
-    Returns a_N, am's descent ratios c_n/a_n for n = N..1, and F's step
-    constants (c_n, b_{n-1}) for n = 1..N.
+    The kernel's one modulus check: k outside [0, MAX_MODULUS] raises
+    DomainError here.  lru_cache keeps no call that raised, so a bad k is
+    rejected on every call and each memo entry is a k checked once.
+    Returns K = pi / (2 a_N), the seed scale 2^N a_N, am's descent ratios
+    c_n/a_n for n = N..1, and F's step constants (c_n, b_{n-1}) for n = 1..N.
     """
-    a = 1.0
-    b = math.sqrt((1.0 - k) * (1.0 + k))
-    c = k
-    ratios = []
-    steps = []
+    if not 0.0 <= k <= MAX_MODULUS:
+        raise DomainError(f"modulus k={k!r} outside [0, MAX_MODULUS = {MAX_MODULUS!r}]")
+    a, b, c = 1.0, math.sqrt((1.0 - k) * (1.0 + k)), k
+    ratios, steps = [], []
     for _ in range(_MAX_AGM_ITER):
         nxt = (0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b))
         # quadratic convergence bottoms out at rounding noise ~eps*a, so the
         # cut sits just above one ulp, with a plateau guard behind it
         if abs(c) <= 2.5e-16 * a or abs(nxt[2]) >= abs(c):
-            return a, tuple(reversed(ratios)), tuple(steps)
+            return (math.pi / (2.0 * a), math.ldexp(a, len(steps)),
+                    tuple(reversed(ratios)), tuple(steps))
         steps.append((nxt[2], b))
         a, b, c = nxt
         ratios.append(c / a)
@@ -71,8 +69,7 @@ def _agm_phases(k: float) -> tuple[float, tuple[float, ...], tuple[tuple[float, 
 
 def complete_K(k: float) -> float:
     """Quarter-period K(k), exact to the last AGM iterate."""
-    _check_modulus(k)
-    return math.pi / (2.0 * _agm_phases(k)[0])
+    return _agm_phases(k)[0]
 
 
 def am(u: float, k: float) -> float:
@@ -83,10 +80,9 @@ def am(u: float, k: float) -> float:
     linear in u and every descent step is a contraction, the quasi-period
     am(u + 2K) = am(u) + pi holds to rounding without explicit unwinding.
     """
-    _check_modulus(k)
+    _, seed, ratios, _ = _agm_phases(k)
     _check_argument("u", u)
-    scale, ratios, _ = _agm_phases(k)
-    phi = math.ldexp(scale * u, len(ratios))
+    phi = seed * u
     for ratio in ratios:
         phi = 0.5 * (phi + math.asin(ratio * math.sin(phi)))
     return phi
@@ -119,14 +115,13 @@ def incomplete_F(phi: float, k: float) -> float:
     The denominator is evaluated as b_{n-1} + 2 c_n cos^2 phi_{n-1}, which
     equals it but does not cancel when k -> 1 and cos theta -> -1.
     """
-    _check_modulus(k)
+    _, seed, _, steps = _agm_phases(k)
     _check_argument("phi", phi)
-    scale, _, steps = _agm_phases(k)
     for gap, geo in steps:
         s = math.sin(phi)
         c = math.cos(phi)
         phi = 2.0 * phi - math.atan2(2.0 * gap * s * c, geo + 2.0 * gap * c * c)
-    return phi / math.ldexp(scale, len(steps))
+    return phi / seed
 
 
 def jacobi_sum(u: float, v: float, k: float) -> JacobiTriple:

@@ -16,7 +16,7 @@ from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .elliptic_kernel import incomplete_F
+from .elliptic_kernel import MAX_MODULUS, incomplete_F
 from .errors import (DomainError, GeometryError, InvariantError, NoSolutionError,
                      NoTangentError)
 
@@ -61,12 +61,15 @@ class PonceletTrajectory:
 
 
 def modulus_of_config(c: TwoCircleConfig) -> tuple[float, float]:
-    """Elliptic modulus and chord amplitude: k^2 = 4Ra/((R+a)^2 - r^2), cos(alpha) = r/(R+a)."""
+    """Elliptic modulus and chord amplitude: k^2 = 4Ra/((R+a)^2 - r^2), cos(alpha) = r/(R+a).
+
+    k above the kernel's MAX_MODULUS (a + r too near R) is a DomainError naming k and a + r.
+    """
     R, r, a = c.R, c.r, c.a
-    k2 = 4.0 * R * a / ((R + a) ** 2 - r ** 2)
-    if k2 >= 1.0:
-        raise DomainError("modulus reached 1; circles are not strictly nested")
-    k = math.sqrt(k2)
+    k = math.sqrt(4.0 * R * a / ((R + a) ** 2 - r ** 2))
+    if not k <= MAX_MODULUS:
+        raise DomainError(f"modulus k={k!r} exceeds MAX_MODULUS = {MAX_MODULUS!r}: a + r = "
+                          f"{a + r!r} is too close to R = {R!r} (tangency) for the kernel")
     alpha = math.acos(r / (R + a))
     residual = modulus_residual(c, k, alpha)
     if residual > 1e-12:

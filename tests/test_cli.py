@@ -237,6 +237,16 @@ class TestPoncelet:
         assert named in capsys.readouterr().err
         assert not target.exists()
 
+    def test_near_tangent_pair_names_the_bound(self, capsys):
+        # nested, but k^2 = 4Ra/((R+a)^2 - r^2) rounds to 1
+        code, output = run_cli(["poncelet", "--R", "1", "--r", "0.7631943040467181",
+                                "--a", "0.23680569595328171", "--json"])
+        assert code == 2
+        doc = assert_error_document(output, "poncelet", "DomainError", capsys.readouterr().err)
+        assert doc["message"] == ("modulus k=1.0 exceeds MAX_MODULUS = 0.999999999999: "
+                                  "a + r = 0.9999999999999998 is too close to R = 1.0 "
+                                  "(tangency) for the kernel")
+
     def test_search_failure_exit(self, capsys):
         code, _ = run_cli(["poncelet", "--R", "1", "--r", "0.4",
                            "--solve", "5", "2"])

@@ -1,9 +1,11 @@
 import math
+import re
+import sys
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ellipkinc
 
@@ -146,6 +148,15 @@ class TestAmplitude:
         for u in rng.uniform(0.0, 5.0, size=10):
             assert am(-u, 0.7) == -am(u, 0.7)
 
+    # am(u) = u (1 + O(u^2)): at subnormal u the seed 2^N a_N u is formed in one
+    # rounding, so only the descent's roundings on the subnormal grid remain
+    @given(st.floats(5e-324, sys.float_info.min, exclude_max=True), st.floats(0.0, MAX_MODULUS))
+    @example(5.1214e-318, MAX_MODULUS)
+    @example(1.811198269652768e-308, MAX_MODULUS)
+    @settings(max_examples=300)
+    def test_subnormal_argument(self, u, k):
+        assert abs(am(u, k) - u) <= 4 * math.ulp(u)
+
 
 class TestJacobiTriple:
     def test_at_zero(self):
@@ -270,6 +281,27 @@ def test_argument_outside_domain(func, name, x):
     with pytest.raises(DomainError, match=f"argument {name}="):
         func(x, 0.5)
     func(MAX_ARGUMENT, MAX_MODULUS)
+
+
+# outside [0, MAX_MODULUS]: negative, nan, 1, and the next float above the bound
+BAD_MODULI = [-0.1, math.nan, 1.0, math.nextafter(MAX_MODULUS, 2.0)]
+# every public entry point of the kernel, called at one argument x and modulus k
+ENTRY_POINTS = {"complete_K": lambda x, k: complete_K(k), "am": am,
+                "jacobi_triple": jacobi_triple, "incomplete_F": incomplete_F,
+                "jacobi_sum": lambda x, k: jacobi_sum(x, x, k)}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("k", BAD_MODULI)
+def test_modulus_outside_domain(entry, k):
+    # the phase memo is the one check; a call that raised is never memoised, so
+    # the second call raises too, and a bad argument is reported after the modulus
+    size = _agm_phases.cache_info().currsize
+    for x in (0.3, 0.3, math.nan):
+        with pytest.raises(DomainError, match=re.escape(
+                f"modulus k={k!r} outside [0, MAX_MODULUS = {MAX_MODULUS!r}]")):
+            ENTRY_POINTS[entry](x, k)
+    assert _agm_phases.cache_info().currsize == size
 
 
 class TestPhaseMemo:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pentagramma import poncelet
-from pentagramma.elliptic_kernel import am, incomplete_F
+from pentagramma.elliptic_kernel import MAX_MODULUS, am, incomplete_F
 from pentagramma.errors import DomainError, GeometryError, NoSolutionError
 from pentagramma.poncelet import (TwoCircleConfig, chord_step, closure_residual,
                                   modulus_of_config, search_closing_config,
@@ -70,6 +70,16 @@ class TestModulus:
         k, _ = modulus_of_config(TwoCircleConfig(1.0, 0.3, 0.25))
         assert k * k == pytest.approx(1.0 / (1.5625 - 0.09), abs=1e-15)
         assert 0.0 < k < 1.0
+
+    # nested pairs within rounding of tangency: k^2 rounds to 1 for the first,
+    # and k = 0.999999999999934 is past the kernel's bound for the second
+    @pytest.mark.parametrize("a", [0.23680569595328171, 0.2368056959532])
+    def test_near_tangent_pair_names_the_bound(self, a):
+        config = TwoCircleConfig(1.0, 0.7631943040467181, a)
+        with pytest.raises(DomainError, match=re.escape(
+                f"exceeds MAX_MODULUS = {MAX_MODULUS!r}: a + r = {a + config.r!r} "
+                f"is too close to R = 1.0")):
+            modulus_of_config(config)
 
 
 class TestChordStep:
