@@ -240,8 +240,7 @@ def cmd_napier(args, out) -> RunReport | None:
         import numpy as np
 
         def rows():
-            for frame in sweep_frames(np.random.default_rng(args.seed),
-                                      [round(0.1 * i, 1) for i in range(10)], args.samples):
+            for frame in sweep_frames(np.random.default_rng(args.seed), args.samples):
                 cycle, betas, law, five, _ = _napier_row(frame)
                 yield [format(v, ".17g")
                        for v in (frame.k, frame.u, *cycle.alphas, *betas, law, five)]
@@ -336,7 +335,7 @@ def cmd_poncelet(args, out) -> RunReport:
         for n in range(3, 13):
             for m in range(1, n // 2 + 1):
                 if math.gcd(n, m) == 1:
-                    candidates[f"{n}/{m}"] = step - (m / n) * full
+                    candidates[f"{n}/{m}"] = closure_residual(config, n, m)
         report = RunReport(
             command="poncelet",
             inputs={"R": args.R, "r": args.r, "a": args.a},

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import cone_spectrum
 from .elliptic_kernel import MAX_MODULUS, complete_K, jacobi_triple
@@ -18,6 +19,7 @@ from .pentagram_algebra import ALPHA_MAX, AlphaCycle
 
 # a chord whose rays are this close to orthogonal has no finite tangent
 _ORTHOGONAL_TOL = 1e-12
+K_GRID = tuple(round(0.1 * i, 1) for i in range(10))  # the moduli of every (k, u) sweep
 
 
 @dataclass(frozen=True)
@@ -30,6 +32,24 @@ class PentagonFrame:
     cn_fifth: float   # cn(2K/5) > 0
     dn_fifth: float   # dn(2K/5)
     vectors: tuple[tuple[float, float, float], ...]  # five rows r_j; third entry exactly 1
+
+    @cached_property
+    def chords(self) -> tuple[tuple[float, float, float], ...]:
+        """(|a x b|^2, a.b, |a|^2 |b|^2) for each chord a = r_j, b = r_{j+1}; one pass a frame."""
+        out = []
+        for j in range(5):
+            ax, ay, az = self.vectors[j]
+            bx, by, bz = self.vectors[(j + 1) % 5]
+            dot = ax * bx + ay * by + az * bz
+            if abs(dot) <= _ORTHOGONAL_TOL:
+                raise ChordDegenerateError(f"rays {j} and {j + 1} orthogonal within "
+                                           f"{_ORTHOGONAL_TOL} at (k={self.k}, u={self.u})")
+            cx = ay * bz - az * by
+            cy = az * bx - ax * bz
+            cz = ax * by - ay * bx
+            out.append((cx * cx + cy * cy + cz * cz, dot,
+                        (ax * ax + ay * ay + az * az) * (bx * bx + by * by + bz * bz)))
+        return tuple(out)
 
 
 def frame_vectors(k: float, u: float) -> PentagonFrame:
@@ -48,40 +68,21 @@ def frame_vectors(k: float, u: float) -> PentagonFrame:
     return PentagonFrame(k=k, u=u, K=quarter, cn_fifth=cn5, dn_fifth=dn5, vectors=tuple(rows))
 
 
-def sweep_frames(rng, ks, samples: int) -> Iterator[PentagonFrame]:
-    """Frames on the (k, u) lattice, one k after another.
+def sweep_frames(rng, samples: int) -> Iterator[PentagonFrame]:
+    """Frames on the (k, u) lattice, one k of K_GRID after another.
 
     Per k, `samples` u are drawn from rng uniform on [0, 0.8K), which covers
     the frame's period up to row order; the frames follow in increasing u.
     """
-    for k in ks:
-        quarter = complete_K(k)
-        for u in sorted(rng.uniform(0.0, 0.8 * quarter, size=samples)):
+    for k in K_GRID:
+        for u in sorted(rng.uniform(0.0, 0.8 * complete_K(k), size=samples)):
             yield frame_vectors(k, float(u))
-
-
-def _chords(f: PentagonFrame) -> list[tuple[float, float, float]]:
-    """(|a x b|^2, a.b, |a|^2 |b|^2) for each chord a = r_j, b = r_{j+1}."""
-    out = []
-    for j in range(5):
-        ax, ay, az = f.vectors[j]
-        bx, by, bz = f.vectors[(j + 1) % 5]
-        dot = ax * bx + ay * by + az * bz
-        if abs(dot) <= _ORTHOGONAL_TOL:
-            raise ChordDegenerateError(f"rays {j} and {j + 1} orthogonal within "
-                                       f"{_ORTHOGONAL_TOL} at (k={f.k}, u={f.u})")
-        cx = ay * bz - az * by
-        cy = az * bx - ax * bz
-        cz = ax * by - ay * bx
-        out.append((cx * cx + cy * cy + cz * cz, dot,
-                    (ax * ax + ay * ay + az * az) * (bx * bx + by * by + bz * bz)))
-    return out
 
 
 def alpha_sequence(f: PentagonFrame) -> AlphaCycle:
     """Squared tangents of the ray gaps; satisfies 1 + a_j = a_{j-2} a_{j+2}."""
     values = []
-    for cross2, dot, _ in _chords(f):
+    for cross2, dot, _ in f.chords:
         alpha = cross2 / (dot * dot)
         if alpha > ALPHA_MAX:
             raise ChordDegenerateError(
@@ -92,7 +93,7 @@ def alpha_sequence(f: PentagonFrame) -> AlphaCycle:
 
 def beta_sequence(f: PentagonFrame) -> tuple[float, ...]:
     """Squared sines of the ray gaps: beta_j = alpha_j/(1+alpha_j), strictly < 1."""
-    return tuple(cross2 / norms for cross2, _, norms in _chords(f))
+    return tuple(cross2 / norms for cross2, _, norms in f.chords)
 
 
 def omega_of_k(k: float) -> float:

@@ -63,14 +63,16 @@ class PonceletTrajectory:
 def modulus_of_config(c: TwoCircleConfig) -> tuple[float, float]:
     """Elliptic modulus and chord amplitude: k^2 = 4Ra/((R+a)^2 - r^2), cos(alpha) = r/(R+a).
 
+    Both are read from s = a/R and t = r/R, so no scale of R overflows or underflows.
     k above the kernel's MAX_MODULUS (a + r too near R) is a DomainError naming k and a + r.
     """
     R, r, a = c.R, c.r, c.a
-    k = math.sqrt(4.0 * R * a / ((R + a) ** 2 - r ** 2))
+    s, t = a / R, r / R
+    k = math.sqrt(4.0 * s / ((1.0 + s) ** 2 - t ** 2))
     if not k <= MAX_MODULUS:
         raise DomainError(f"modulus k={k!r} exceeds MAX_MODULUS = {MAX_MODULUS!r}: a + r = "
                           f"{a + r!r} is too close to R = {R!r} (tangency) for the kernel")
-    alpha = math.acos(r / (R + a))
+    alpha = math.acos(t / (1.0 + s))
     residual = modulus_residual(c, k, alpha)
     if residual > 1e-12:
         raise InvariantError(f"modulus consistency broke: residual {residual!r} > 1e-12")
@@ -262,17 +264,16 @@ def search_closing_config(n: int, m: int, R: float, r: float) -> TwoCircleConfig
             f"(n={n}, m={m}) needs rotation number m/n >= 1/2, but the forward "
             f"walk's rotation number F(alpha)/2K is below 1/2 for every nested "
             f"pair of circles; ({n}, {n - m}) is the same polygon walked backwards")
-    upper = min(r, R - r) - 1e-9 * R
+    # on the unit outer circle in s = a/R, Brent's absolute tolerance holds at every scale
+    t = r / R
+    upper = min(t, 1.0 - t) - 1e-9
     if upper <= 0.0:
         raise NoSolutionError("no admissible centre-distance bracket")
 
-    def res(a: float) -> float:
-        return closure_residual(TwoCircleConfig(R=R, r=r, a=a), n, m)
+    def res(s: float) -> float:
+        return closure_residual(TwoCircleConfig(R=1.0, r=t, a=s), n, m)
 
-    lo = closure_residual(concentric, n, m)
-    if lo == 0.0:
-        return concentric
-    hi = res(upper)
+    lo, hi = res(0.0), res(upper)
     if math.copysign(1.0, lo) == math.copysign(1.0, hi):
         # at r = R cos(pi m/n) the regular star closes at a = 0, where F(pi, 0)
         # = pi, but its residual can round to a fraction of an ulp of pi below 0
@@ -286,5 +287,5 @@ def search_closing_config(n: int, m: int, R: float, r: float) -> TwoCircleConfig
                 f"rotation number peaks at a = 0, so there is no closing configuration")
         raise NoSolutionError(
             f"closure residual keeps sign {lo:+.3e} .. {hi:+.3e} on the bracket "
-            f"a in [0, {upper!r}] for (n={n}, m={m}, R={R}, r={r}): no closing configuration")
-    return TwoCircleConfig(R=R, r=r, a=_brent(res, 0.0, upper, lo, hi))
+            f"a in [0, {R * upper!r}] for (n={n}, m={m}, R={R}, r={r}): no closing configuration")
+    return TwoCircleConfig(R=R, r=r, a=R * _brent(res, 0.0, upper, lo, hi))

@@ -17,8 +17,7 @@ from .pentagram_algebra import GOLDEN
 
 PI = math.pi
 
-# the moduli of the pentagon-law and five-term sweeps, 20 u per k
-_GRID_KS = [0.1 * i for i in range(10)]
+# u draws per modulus of the pentagon-law and five-term sweeps
 _SAMPLES_PER_K = 20
 
 
@@ -112,7 +111,7 @@ def criterion_4(col: _Collector, rng) -> None:
 def criterion_5(col: _Collector, rng) -> None:
     """Pentagon law on the (k, u) grid; regular values at k = 0."""
     worst_law = 0.0
-    for frame in napier_uniformization.sweep_frames(rng, _GRID_KS, _SAMPLES_PER_K):
+    for frame in napier_uniformization.sweep_frames(rng, _SAMPLES_PER_K):
         cycle = napier_uniformization.alpha_sequence(frame)
         worst_law = max(worst_law, max(abs(r) for r in cycle.relation_residuals()))
     col.add("law.grid", worst_law, 1e-10)
@@ -127,7 +126,7 @@ def criterion_5(col: _Collector, rng) -> None:
 def criterion_6(col: _Collector, rng) -> None:
     """The spectral-modulus bridge both ways across the k grid."""
     worst_cn = worst_dn = worst_formula = 0.0
-    for k in [0.1 * i for i in range(1, 10)]:
+    for k in napier_uniformization.K_GRID[1:]:
         omega = napier_uniformization.omega_of_k(k)
         s = cone_spectrum.solve_characteristic(omega)
         quarter = elliptic_kernel.complete_K(k)
@@ -223,7 +222,7 @@ def criterion_9(col: _Collector, rng) -> None:
     col.add("dilog.spence", worst_spence, 1e-11)
 
     worst_sum = 0.0
-    for frame in napier_uniformization.sweep_frames(rng, _GRID_KS, _SAMPLES_PER_K):
+    for frame in napier_uniformization.sweep_frames(rng, _SAMPLES_PER_K):
         worst_sum = max(worst_sum, abs(dilogarithm.pentagon_five_term(
             napier_uniformization.beta_sequence(frame))))
     col.add("dilog.pentagon_sum", worst_sum, 1e-10)

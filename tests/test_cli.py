@@ -11,7 +11,7 @@ import pytest
 
 import pentagramma
 from battery_outcomes import CRITERION_8_FAILING
-from pentagramma import cli, elliptic_kernel, errors, oracles, verify
+from pentagramma import cli, elliptic_kernel, errors, napier_uniformization, oracles, verify
 from pentagramma.cli import main
 
 
@@ -134,6 +134,12 @@ class TestNapier:
         code, written = run_cli(["napier", "--grid", "--samples", "0", "--csv", str(target)])
         assert (code, written) == (0, f"wrote 0 rows to {target}\n")
         assert target.read_text() == header
+
+    def test_grid_k_column_is_the_library_grid(self):
+        code, output = run_cli(["napier", "--grid", "--samples", "2"])
+        assert code == 0
+        ks = [float(line.split(",")[0]) for line in output.splitlines()[1:]]
+        assert ks == [k for k in napier_uniformization.K_GRID for _ in range(2)]
 
     def test_grid_deterministic(self):
         _, first = run_cli(["napier", "--grid", "--samples", "3"])

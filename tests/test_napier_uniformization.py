@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,19 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pentagramma import napier_uniformization
+from pentagramma import napier_uniformization, verify
 from pentagramma.cone_spectrum import (_NEAR_CRITICAL, OMEGA_CRITICAL,
                                        modulus_from_spectrum, solve_characteristic)
 from pentagramma.elliptic_kernel import MAX_MODULUS, complete_K, jacobi_triple
 from pentagramma.errors import ChordDegenerateError, DomainError, SubcriticalError
 from pentagramma.gauss_projection import pentagon_from_frame
-from pentagramma.napier_uniformization import (OMEGA_MAX, PentagonFrame, alpha_sequence,
-                                               beta_sequence, frame_vectors, k_of_omega,
-                                               omega_of_k, sweep_frames)
+from pentagramma.napier_uniformization import (K_GRID, OMEGA_MAX, PentagonFrame,
+                                               alpha_sequence, beta_sequence, frame_vectors,
+                                               k_of_omega, omega_of_k, sweep_frames)
 from pentagramma.oracles import chord_alphas, chord_betas, invert_omega_of_k
 from pentagramma.pentagram_algebra import GOLDEN
-
-K_GRID = [round(0.1 * i, 1) for i in range(10)]
 
 
 class TestFrameVectors:
@@ -56,16 +55,31 @@ class TestFrameVectors:
 
 class TestSweepFrames:
     def test_draws_sorted_u_per_k_from_the_stream(self):
-        ks = [0.0, 0.5, 0.9]
-        frames = list(sweep_frames(np.random.default_rng(4), ks, 6))
+        frames = list(sweep_frames(np.random.default_rng(4), 6))
         rng = np.random.default_rng(4)
-        want = [(k, float(u)) for k in ks
+        want = [(k, float(u)) for k in K_GRID
                 for u in sorted(rng.uniform(0.0, 0.8 * complete_K(k), size=6))]
         assert [(f.k, f.u) for f in frames] == want
-        assert frames[7].vectors == frame_vectors(0.5, want[7][1]).vectors
+        assert frames[31].vectors == frame_vectors(0.5, want[31][1]).vectors
 
     def test_zero_samples_yield_nothing(self):
-        assert list(sweep_frames(np.random.default_rng(0), K_GRID, 0)) == []
+        assert list(sweep_frames(np.random.default_rng(0), 0)) == []
+
+    def test_grid_is_the_rounded_tenths(self):
+        # 0.1 * i is one ulp off at 0.3, 0.6 and 0.7
+        assert K_GRID == (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+
+    @pytest.mark.parametrize("number, want", [(5, K_GRID), (6, K_GRID[1:]), (9, K_GRID)])
+    def test_battery_frames_use_the_grid(self, number, want, monkeypatch):
+        seen = []
+
+        def recording(k, u):
+            seen.append(k)
+            return frame_vectors(k, u)
+
+        monkeypatch.setattr(napier_uniformization, "frame_vectors", recording)
+        verify.run_criterion(number)
+        assert tuple(dict.fromkeys(seen)) == want
 
 
 class TestAlphaSequence:
@@ -151,6 +165,33 @@ class TestChordGuards:
                     for k in K_GRID
                     for u in np.linspace(0.0, 0.8 * complete_K(k), 401, endpoint=False))
         assert worst >= 0.4
+
+
+class TestChordPass:
+    def test_alpha_and_beta_share_one_pass(self):
+        f = frame_vectors(0.5, 0.3)
+        alpha_sequence(f)
+        chords = vars(f)["chords"]
+        assert chords == PentagonFrame.chords.func(f)
+        # beta_sequence reads the stored pass: doctored entries show through
+        vars(f)["chords"] = [(c, d, 2.0 * n) for c, d, n in chords]
+        assert beta_sequence(f) == tuple(c / (2.0 * n) for c, _, n in chords)
+        assert f == frame_vectors(0.5, 0.3)
+
+    def test_replaced_frame_recomputes(self):
+        f = frame_vectors(0.5, 0.3)
+        first = f.chords
+        moved = dataclasses.replace(f, vectors=frame_vectors(0.5, 0.7).vectors)
+        assert "chords" not in vars(moved)
+        assert moved.chords == frame_vectors(0.5, 0.7).chords != first
+        assert f.chords is first
+
+    def test_degenerate_frame_raises_on_every_access(self):
+        frame = hand_frame((1.0, 0.0, 1.0), (-1.0, 0.0, 1.0))
+        for sequence in (alpha_sequence, beta_sequence, alpha_sequence):
+            with pytest.raises(ChordDegenerateError, match="rays 0 and 1 orthogonal"):
+                sequence(frame)
+        assert "chords" not in vars(frame)
 
 
 def numpy_chords(f):

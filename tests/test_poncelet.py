@@ -71,6 +71,13 @@ class TestModulus:
         assert k * k == pytest.approx(1.0 / (1.5625 - 0.09), abs=1e-15)
         assert 0.0 < k < 1.0
 
+    @pytest.mark.parametrize("R", [1e-200, 1e-20, 1e-6, 1e6, 1e200])
+    def test_scale_free(self, R):
+        # k reads a/R and r/R alone; (R + a)^2 overflows at R = 1e200 and underflows at 1e-200
+        unit, _ = modulus_of_config(TwoCircleConfig(1.0, 0.3, 0.2))
+        k, _ = modulus_of_config(TwoCircleConfig(R, 0.3 * R, 0.2 * R))
+        assert _ulps(k, unit) <= 1
+
     # nested pairs within rounding of tangency: k^2 rounds to 1 for the first,
     # and k = 0.999999999999934 is past the kernel's bound for the second
     @pytest.mark.parametrize("a", [0.23680569595328171, 0.2368056959532])
@@ -254,10 +261,12 @@ def _no_evaluation(*args):
 
 
 def _brentq_distance(n, m, R, r):
-    # the reference root: scipy's brentq on the same bracket and tolerances
+    # the reference root: scipy's brentq on the same unit problem (outer
+    # radius 1, centre distance a/R) and tolerances, scaled back by R
     from scipy.optimize import brentq
-    return brentq(lambda a: closure_residual(TwoCircleConfig(R, r, a), n, m),
-                  0.0, min(r, R - r) - 1e-9 * R, xtol=1e-15, rtol=8.9e-16)
+    t = r / R
+    return R * brentq(lambda s: closure_residual(TwoCircleConfig(1.0, t, s), n, m),
+                      0.0, min(t, 1.0 - t) - 1e-9, xtol=1e-15, rtol=8.9e-16)
 
 
 def _ulps(x, y):
@@ -358,6 +367,15 @@ class TestSearchClosingConfig:
                                          (5, 2, 0.3), (7, 2, 0.6), (8, 3, 0.35)])
     def test_root_matches_brentq(self, n, m, r):
         assert _ulps(search_closing_config(n, m, 1.0, r).a, _brentq_distance(n, m, 1.0, r)) <= 4
+
+    @pytest.mark.parametrize("R", [1e-200, 1e-20, 1e-6, 1e6, 1e200])
+    def test_scale_free(self, R):
+        # the search runs on the unit outer circle: an absolute tolerance on a
+        # would stop short at small R, and Brent's slopes underflow at large R
+        unit = search_closing_config(5, 2, 1.0, 0.3).a
+        config = search_closing_config(5, 2, R, 0.3 * R)
+        assert abs(closure_residual(config, 5, 2)) <= 1e-12
+        assert _ulps(config.a / R, unit) <= 1
 
     def test_random_roots_match_brentq(self):
         rng = np.random.default_rng(20111106)
