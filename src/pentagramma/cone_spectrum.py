@@ -143,8 +143,6 @@ def modulus_from_spectrum(s: SpectralTriple) -> tuple[float, float, float]:
     G, Gp, Gpp = s.G, s.Gp, s.Gpp
     cnw = -Gp / G
     dnw = Gp / Gpp
-    if Gpp - Gp <= 1e-12 * Gpp:
-        return 0.0, cnw, dnw
     k2 = (Gp ** -2 - Gpp ** -2) / (Gp ** -2 - G ** -2)
     k = math.sqrt(k2)
     if not (0.0 <= k < 1.0 and 0.0 < cnw < 1.0 and 0.0 < dnw <= 1.0):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .elliptic_kernel import MAX_MODULUS, incomplete_F
@@ -30,11 +30,14 @@ class TwoCircleConfig:
 
     R is finite, 0 <= a < r and a + r < R: the circles are strictly nested and
     the outer centre lies inside the inner circle.  GeometryError names a broken bound.
+    Once checked it holds s = a/R and t = r/R, the only ratios the formulas read.
     """
 
     R: float
     r: float
     a: float
+    s: float = field(init=False, repr=False, compare=False)
+    t: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         R, r, a = self.R, self.r, self.a
@@ -50,6 +53,8 @@ class TwoCircleConfig:
         if a >= r:
             raise GeometryError(
                 f"outer centre must lie inside the inner circle: a = {a!r} >= r = {r!r}")
+        object.__setattr__(self, "s", a / R)
+        object.__setattr__(self, "t", r / R)
 
 
 @dataclass(frozen=True)
@@ -66,12 +71,11 @@ def modulus_of_config(c: TwoCircleConfig) -> tuple[float, float]:
     Both are read from s = a/R and t = r/R, so no scale of R overflows or underflows.
     k above the kernel's MAX_MODULUS (a + r too near R) is a DomainError naming k and a + r.
     """
-    R, r, a = c.R, c.r, c.a
-    s, t = a / R, r / R
+    s, t = c.s, c.t
     k = math.sqrt(4.0 * s / ((1.0 + s) ** 2 - t ** 2))
     if not k <= MAX_MODULUS:
         raise DomainError(f"modulus k={k!r} exceeds MAX_MODULUS = {MAX_MODULUS!r}: a + r = "
-                          f"{a + r!r} is too close to R = {R!r} (tangency) for the kernel")
+                          f"{c.a + c.r!r} is too close to R = {c.R!r} (tangency) for the kernel")
     alpha = math.acos(t / (1.0 + s))
     residual = modulus_residual(c, k, alpha)
     if residual > 1e-12:
@@ -80,10 +84,10 @@ def modulus_of_config(c: TwoCircleConfig) -> tuple[float, float]:
 
 
 def modulus_residual(c: TwoCircleConfig, k: float, alpha: float) -> float:
-    """Worse of |sqrt(1 - k^2 sin^2 alpha) - (R-a)/(R+a)| and |cos(alpha) - r/(R+a)|."""
-    R, r, a = c.R, c.r, c.a
-    return max(abs(math.sqrt(1.0 - (k * math.sin(alpha)) ** 2) - (R - a) / (R + a)),
-               abs(math.cos(alpha) - r / (R + a)))
+    """Worse of |sqrt(1 - k^2 sin^2 alpha) - (1-s)/(1+s)| and |cos(alpha) - t/(1+s)|."""
+    s, t = c.s, c.t
+    return max(abs(math.sqrt(1.0 - (k * math.sin(alpha)) ** 2) - (1.0 - s) / (1.0 + s)),
+               abs(math.cos(alpha) - t / (1.0 + s)))
 
 
 def chord_step(c: TwoCircleConfig, phi: float, prev: float | None = None) -> float:
@@ -91,24 +95,24 @@ def chord_step(c: TwoCircleConfig, phi: float, prev: float | None = None) -> flo
 
     The tangency condition (R+a) cos q cos phi + (R-a) sin q sin phi = r is
     linear in (cos q, sin q), so two chords leave each vertex; the forward
-    one advances the angle by an offset in (0, pi).  The coefficient vector
-    (R+a) cos phi + i (R-a) sin phi has modulus amp and argument psi; turned
-    back by phi it is R + a e^{-2i phi}, whose real part is positive, so its
+    one advances the angle by an offset in (0, pi).  In units of R the coefficient
+    vector is (1+s) cos phi + i (1-s) sin phi, of modulus amp and argument psi; turned
+    back by phi it is 1 + s e^{-2i phi}, whose real part is positive, so its
     argument is psi - phi already wrapped into (-pi/2, pi/2), and the two
-    candidate offsets psi - phi +- acos(r/amp) need no further reduction.
+    candidate offsets psi - phi +- acos(t/amp) need no further reduction.
     With the previous vertex supplied, the three-term recursion
-    tan((next+prev)/2) = (R-a)/(R+a) tan(phi) is asserted in cross-multiplied
+    tan((next+prev)/2) = (1-s)/(1+s) tan(phi) is asserted in cross-multiplied
     form (the tan form has poles on any long trajectory).
     """
-    R, r, a = c.R, c.r, c.a
+    s, t = c.s, c.t
     sin_phi, cos_phi = math.sin(phi), math.cos(phi)
-    re_part = R + a * (cos_phi - sin_phi) * (cos_phi + sin_phi)
-    im_part = -2.0 * a * sin_phi * cos_phi
+    re_part = 1.0 + s * (cos_phi - sin_phi) * (cos_phi + sin_phi)
+    im_part = -2.0 * s * sin_phi * cos_phi
     amp = math.hypot(re_part, im_part)
-    if amp < r:
+    if amp < t:
         raise NoTangentError("no real chord: configuration outside validity")
     base = math.atan2(im_part, re_part)
-    delta = math.acos(r / amp)
+    delta = math.acos(t / amp)
     ahead, behind = base + delta, base - delta
     ahead_forward = 0.0 < ahead < math.pi
     if ahead_forward == (0.0 < behind < math.pi):
@@ -116,7 +120,7 @@ def chord_step(c: TwoCircleConfig, phi: float, prev: float | None = None) -> flo
     nxt = phi + (ahead if ahead_forward else behind)
     if prev is not None:
         half = 0.5 * (nxt + prev)
-        rho = (R - a) / (R + a)
+        rho = (1.0 - s) / (1.0 + s)
         res = math.sin(half) * cos_phi - rho * math.cos(half) * sin_phi
         if abs(res) > 1e-10:
             raise InvariantError(f"chord recursion residual {res:.3e}")
@@ -128,10 +132,12 @@ def chord_step(c: TwoCircleConfig, phi: float, prev: float | None = None) -> flo
 # to within one rounding of theta
 _TWO_PI_HI = 2.0 * math.pi
 _TWO_PI_LO = 2.4492935982947064e-16
+# theta rounds at ulp(phi0): from |phi0| near 2^19 (ulp 1.2e-10) the 1e-10 recursion check fails
+PHI0_MAX = 2.0 ** 18
 
 
 def trajectory(c: TwoCircleConfig, phi0: float, n: int) -> PonceletTrajectory:
-    """n chord steps from phi0; angles are cumulative (never reduced mod 2pi).
+    """n chord steps from |phi0| <= PHI0_MAX; angles are cumulative (never reduced mod 2pi).
 
     The walk itself runs on a phase-reduced angle theta below phi0 + 2 pi: a
     step that crosses the bound takes a full turn off theta and off the
@@ -148,28 +154,24 @@ def trajectory(c: TwoCircleConfig, phi0: float, n: int) -> PonceletTrajectory:
 
     if n < 1:
         raise DomainError("need at least one chord step")
-    if not math.isfinite(phi0):
-        raise DomainError(f"starting half-angle phi0={phi0!r} is not finite")
+    if not abs(phi0) <= PHI0_MAX:
+        raise DomainError(f"starting half-angle phi0={phi0!r} is not a finite number "
+                          f"within |phi0| <= PHI0_MAX = {PHI0_MAX!r}")
     theta = float(phi0)
     bound = theta + _TWO_PI_HI
-    thetas = array("d", (theta,))  # packed doubles: 8 bytes a chord, not a float object
-    prev = None
+    phis = array("d", (theta,))  # packed doubles: 8 bytes a chord, not a float object
+    prev, turns, lo, hi = None, 0, 0.0, 0.0
     for _ in range(n):
         nxt = chord_step(c, theta, prev)
         prev = theta
         if nxt >= bound:
             nxt = nxt - _TWO_PI_HI - _TWO_PI_LO
             prev = prev - _TWO_PI_HI - _TWO_PI_LO
-        thetas.append(nxt)
+            turns += 1
+            lo, hi = turns * _TWO_PI_LO, turns * _TWO_PI_HI
+        phis.append(nxt + lo + hi)
         theta = nxt
-    phis = np.array(thetas)
-    # every chord advances theta, so it falls exactly where a turn was taken off
-    turns = np.zeros_like(phis)
-    np.cumsum(np.diff(phis) < 0.0, out=turns[1:])
-    phis += turns * _TWO_PI_LO
-    turns *= _TWO_PI_HI
-    phis += turns
-    return PonceletTrajectory(phis=phis, config=c)
+    return PonceletTrajectory(phis=np.frombuffer(phis), config=c)
 
 
 def porism_residual(c: TwoCircleConfig, n: int, m: int, starts) -> float:
@@ -265,7 +267,7 @@ def search_closing_config(n: int, m: int, R: float, r: float) -> TwoCircleConfig
             f"walk's rotation number F(alpha)/2K is below 1/2 for every nested "
             f"pair of circles; ({n}, {n - m}) is the same polygon walked backwards")
     # on the unit outer circle in s = a/R, Brent's absolute tolerance holds at every scale
-    t = r / R
+    t = concentric.t
     upper = min(t, 1.0 - t) - 1e-9
     if upper <= 0.0:
         raise NoSolutionError("no admissible centre-distance bracket")

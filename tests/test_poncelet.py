@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from pentagramma import poncelet
 from pentagramma.elliptic_kernel import MAX_MODULUS, am, incomplete_F
 from pentagramma.errors import DomainError, GeometryError, NoSolutionError
-from pentagramma.poncelet import (TwoCircleConfig, chord_step, closure_residual,
-                                  modulus_of_config, search_closing_config,
-                                  trajectory)
+from pentagramma.poncelet import (PHI0_MAX, TwoCircleConfig, chord_step, closure_residual,
+                                  modulus_of_config, modulus_residual,
+                                  search_closing_config, trajectory)
 
 
 class TestValidateConfig:
@@ -51,6 +51,13 @@ class TestValidateConfig:
         with pytest.raises(GeometryError, match=re.escape("a + r = 1.1 >= R = 1.0")):
             dataclasses.replace(valid, a=0.6)
 
+    def test_replace_recomputes_ratios(self):
+        # s = a/R and t = r/R are derived, so neither the constructor, repr nor == shows them
+        config = dataclasses.replace(TwoCircleConfig(1.0, 0.5, 0.2), R=2.0, a=0.4)
+        assert (config.s, config.t) == (0.2, 0.25)
+        assert repr(config) == "TwoCircleConfig(R=2.0, r=0.5, a=0.4)"
+        assert config == TwoCircleConfig(2.0, 0.5, 0.4)
+
 
 class TestModulus:
     def test_concentric(self):
@@ -71,12 +78,15 @@ class TestModulus:
         assert k * k == pytest.approx(1.0 / (1.5625 - 0.09), abs=1e-15)
         assert 0.0 < k < 1.0
 
-    @pytest.mark.parametrize("R", [1e-200, 1e-20, 1e-6, 1e6, 1e200])
+    @pytest.mark.parametrize("R", [1e-200, 1e-20, 1e-6, 1e6, 1e200, 1.7e308])
     def test_scale_free(self, R):
-        # k reads a/R and r/R alone; (R + a)^2 overflows at R = 1e200 and underflows at 1e-200
+        # k reads a/R and r/R alone; (R + a)^2 overflows at R = 1e200 and underflows at
+        # 1e-200, and R + a itself overflows at 1.7e308
         unit, _ = modulus_of_config(TwoCircleConfig(1.0, 0.3, 0.2))
-        k, _ = modulus_of_config(TwoCircleConfig(R, 0.3 * R, 0.2 * R))
+        config = TwoCircleConfig(R, 0.3 * R, 0.2 * R)
+        k, alpha = modulus_of_config(config)
         assert _ulps(k, unit) <= 1
+        assert modulus_residual(config, k, alpha) <= 1e-12
 
     # nested pairs within rounding of tangency: k^2 rounds to 1 for the first,
     # and k = 0.999999999999934 is past the kernel's bound for the second
@@ -186,21 +196,23 @@ def test_walk_on_unnested_config_raises(config):
 
 class TestTrajectory:
     def test_length_and_monotonicity(self):
-        for phi0 in (0.0, -3.0, 1e3):
+        for phi0 in (0.0, -3.0, 1e3, PHI0_MAX, -PHI0_MAX):
             walk = trajectory(TwoCircleConfig(1.0, 0.5, 0.2), phi0, 25).phis
             assert len(walk) == 26
             assert walk[0] == phi0
             assert np.all(np.diff(walk) > 0.0)
 
     def test_elliptic_shadowing(self, rng):
-        for R, r, a in ((1.0, 0.5, 0.2), (1.0, 0.4, 0.35), (2.0, 0.9, 0.5)):
+        # R + a overflows for the last pair; the walk reads a/R and r/R
+        for R, r, a in ((1.0, 0.5, 0.2), (1.0, 0.4, 0.35), (2.0, 0.9, 0.5),
+                        (1.7e308, 5e307, 1e307)):
             config = TwoCircleConfig(R, r, a)
             k, alpha = modulus_of_config(config)
             step = incomplete_F(alpha, k)
             phi0 = float(rng.uniform(0.0, 2 * math.pi))
-            walk = trajectory(config, phi0, 50).phis
+            walk = trajectory(config, phi0, 200).phis
             u0 = incomplete_F(phi0, k)
-            shadow = [am(u0 + i * step, k) for i in range(51)]
+            shadow = [am(u0 + i * step, k) for i in range(201)]
             assert np.abs(walk - np.array(shadow)).max() < 1e-9
 
     @pytest.mark.parametrize("phi0", [0.0, 0.37, 1.0, 4.0])
@@ -236,10 +248,25 @@ class TestTrajectory:
         with pytest.raises(DomainError):
             trajectory(TwoCircleConfig(1.0, 0.5, 0.2), 0.0, 0)
 
-    @pytest.mark.parametrize("phi0", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("phi0", [math.nan, math.inf, -math.inf, 1e6, -1e15])
     def test_non_finite_start_named(self, phi0):
-        with pytest.raises(DomainError, match=re.escape(f"phi0={phi0!r}")):
+        # beyond PHI0_MAX a chord rounds at ulp(phi0), past the recursion check's 1e-10
+        with pytest.raises(DomainError, match=re.escape(f"phi0={phi0!r}")) as info:
             trajectory(TwoCircleConfig(1.0, 0.5, 0.2), phi0, 5)
+        assert f"PHI0_MAX = {PHI0_MAX!r}" in str(info.value)
+
+
+@pytest.mark.parametrize("t, s", [(0.3, 0.0), (0.5, 0.2), (0.4, 0.35), (0.7, 0.25)])
+@pytest.mark.parametrize("j", [-1000, -30, 30, 1023])
+def test_power_of_two_scale_is_bit_identical(t, s, j):
+    # a/R and r/R are exact at R = 2^j, so every result repeats R = 1 bit for bit
+    def results(R):
+        config = TwoCircleConfig(R, t * R, s * R)
+        k, alpha = modulus_of_config(config)
+        return (k, alpha, modulus_residual(config, k, alpha), closure_residual(config, 5, 2),
+                trajectory(config, 0.37, 200).phis.tobytes())
+
+    assert results(2.0 ** j) == results(1.0)
 
 
 class TestClosureResidual:
@@ -368,7 +395,7 @@ class TestSearchClosingConfig:
     def test_root_matches_brentq(self, n, m, r):
         assert _ulps(search_closing_config(n, m, 1.0, r).a, _brentq_distance(n, m, 1.0, r)) <= 4
 
-    @pytest.mark.parametrize("R", [1e-200, 1e-20, 1e-6, 1e6, 1e200])
+    @pytest.mark.parametrize("R", [1e-200, 1e-20, 1e-6, 1e6, 1e200, 1.7e308])
     def test_scale_free(self, R):
         # the search runs on the unit outer circle: an absolute tolerance on a
         # would stop short at small R, and Brent's slopes underflow at large R
