@@ -141,15 +141,14 @@ def pentagon_svg(pentagon) -> str:
 
 
 def poncelet_svg(config: TwoCircleConfig, walk) -> str:
+    """The circles and the walk in units of R, so that every R draws at one scale."""
     body = [
-        f'<circle cx="0" cy="0" r="{config.R:.8f}" stroke="#888888"/>',
-        f'<circle cx="{-config.a:.8f}" cy="0" r="{config.r:.8f}" stroke="#888888"/>',
+        '<circle cx="0" cy="0" r="1.00000000" stroke="#888888"/>',
+        f'<circle cx="{-config.s:.8f}" cy="0" r="{config.t:.8f}" stroke="#888888"/>',
     ]
-    pts = " ".join(
-        f"{config.R * math.cos(2 * p):.8f},{config.R * math.sin(2 * p):.8f}"
-        for p in walk.phis)
+    pts = " ".join(f"{math.cos(2 * p):.8f},{math.sin(2 * p):.8f}" for p in walk.phis)
     body.append(f'<polyline points="{pts}" stroke="#003366"/>')
-    return _svg_document(body, half_extent=1.15 * config.R)
+    return _svg_document(body, half_extent=1.15)
 
 
 def _write_csv(handle, header: list[str], rows) -> int:
@@ -330,7 +329,7 @@ def cmd_poncelet(args, out) -> RunReport:
         config = TwoCircleConfig(R=args.R, r=args.r, a=args.a)
         k, alpha = modulus_of_config(config)
         step = incomplete_F(alpha, k)
-        full = incomplete_F(math.pi, k)
+        full = 2.0 * complete_K(k)
         candidates = {}
         for n in range(3, 13):
             for m in range(1, n // 2 + 1):

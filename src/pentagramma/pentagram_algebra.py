@@ -149,23 +149,11 @@ class SpherePentagon:
     """Five unit vertices on the sphere plus the arc lengths of the sides."""
 
     vertices: tuple[tuple[float, float, float], ...]  # rows P1..P5
-    sides: tuple[float, ...]      # p_i = arc between vertices i+2 and i+3 (1-based)
+    sides: tuple[float, ...]      # p_i = arctan sqrt(alpha_i), the arc P_{i+2} P_{i+3} (1-based)
 
 
 def _dot(a, b) -> float:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def sphere_sides(vertices) -> tuple[float, ...]:
-    """Recompute side arcs from vertices: p_i spans P_{i+2} P_{i+3} (1-based)."""
-    out = []
-    for i in range(5):
-        a = vertices[(i + 2) % 5]
-        b = vertices[(i + 3) % 5]
-        cross = math.hypot(a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
-                           a[0] * b[1] - a[1] * b[0])
-        out.append(math.atan2(cross, _dot(a, b)))
-    return tuple(out)
 
 
 def orthogonality_residuals(vertices) -> tuple[float, ...]:
@@ -208,4 +196,4 @@ def build_sphere_vertices(c: AlphaCycle) -> SpherePentagon:
         if abs(res) > GEOM_TOL:
             raise InvariantError(f"cone membership residual {res:.3e} exceeds {GEOM_TOL:.1e}")
 
-    return SpherePentagon(vertices=vertices, sides=sphere_sides(vertices))
+    return SpherePentagon(vertices=vertices, sides=(p1, p2, p3, p4, p5))

@@ -5,9 +5,9 @@ tangent to the inner circle, which ties consecutive half-angles by
 (R+a) cos cos + (R-a) sin sin = r.  Substituting phi_i = am(u0 + i t) turns
 the iteration into a straight walk in the elliptic argument, and the walk
 returns to its start after n chords and m turns exactly when
-F(alpha, k) = (m/n) F(pi, k).  A full turn of the polygon advances every
-half-angle by pi, which is where the factor two between the two bookkeeping
-conventions goes.
+F(alpha, k) = (m/n) 2K(k).  A full turn of the polygon advances every
+half-angle by pi, an elliptic argument F(pi, k) = 2K, which is where the
+factor two between the two bookkeeping conventions goes.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from array import array
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .elliptic_kernel import MAX_MODULUS, incomplete_F
+from .elliptic_kernel import MAX_MODULUS, complete_K, incomplete_F
 from .errors import (DomainError, GeometryError, InvariantError, NoSolutionError,
                      NoTangentError)
 
@@ -30,7 +30,9 @@ class TwoCircleConfig:
 
     R is finite, 0 <= a < r and a + r < R: the circles are strictly nested and
     the outer centre lies inside the inner circle.  GeometryError names a broken bound.
-    Once checked it holds s = a/R and t = r/R, the only ratios the formulas read.
+    Once checked it holds s = a/R and t = r/R, the only ratios the formulas read, and
+    from them the modulus k^2 = 4Ra/((R+a)^2 - r^2) and amplitude cos(alpha) = r/(R+a).
+    k above the kernel's MAX_MODULUS (a + r too near R) is a DomainError naming k and a + r.
     """
 
     R: float
@@ -38,6 +40,8 @@ class TwoCircleConfig:
     a: float
     s: float = field(init=False, repr=False, compare=False)
     t: float = field(init=False, repr=False, compare=False)
+    k: float = field(init=False, repr=False, compare=False)
+    alpha: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         R, r, a = self.R, self.r, self.a
@@ -53,8 +57,17 @@ class TwoCircleConfig:
         if a >= r:
             raise GeometryError(
                 f"outer centre must lie inside the inner circle: a = {a!r} >= r = {r!r}")
-        object.__setattr__(self, "s", a / R)
-        object.__setattr__(self, "t", r / R)
+        s, t = a / R, r / R
+        k = math.sqrt(4.0 * s / ((1.0 + s) ** 2 - t ** 2))
+        if not k <= MAX_MODULUS:
+            raise DomainError(f"modulus k={k!r} exceeds MAX_MODULUS = {MAX_MODULUS!r}: a + r = "
+                              f"{a + r!r} is too close to R = {R!r} (tangency) for the kernel")
+        alpha = math.acos(t / (1.0 + s))
+        for name, value in (("s", s), ("t", t), ("k", k), ("alpha", alpha)):
+            object.__setattr__(self, name, value)
+        residual = modulus_residual(self, k, alpha)
+        if residual > 1e-12:
+            raise InvariantError(f"modulus consistency broke: residual {residual!r} > 1e-12")
 
 
 @dataclass(frozen=True)
@@ -66,21 +79,8 @@ class PonceletTrajectory:
 
 
 def modulus_of_config(c: TwoCircleConfig) -> tuple[float, float]:
-    """Elliptic modulus and chord amplitude: k^2 = 4Ra/((R+a)^2 - r^2), cos(alpha) = r/(R+a).
-
-    Both are read from s = a/R and t = r/R, so no scale of R overflows or underflows.
-    k above the kernel's MAX_MODULUS (a + r too near R) is a DomainError naming k and a + r.
-    """
-    s, t = c.s, c.t
-    k = math.sqrt(4.0 * s / ((1.0 + s) ** 2 - t ** 2))
-    if not k <= MAX_MODULUS:
-        raise DomainError(f"modulus k={k!r} exceeds MAX_MODULUS = {MAX_MODULUS!r}: a + r = "
-                          f"{c.a + c.r!r} is too close to R = {c.R!r} (tangency) for the kernel")
-    alpha = math.acos(t / (1.0 + s))
-    residual = modulus_residual(c, k, alpha)
-    if residual > 1e-12:
-        raise InvariantError(f"modulus consistency broke: residual {residual!r} > 1e-12")
-    return k, alpha
+    """Elliptic modulus k and chord amplitude alpha, held by the config since it was made."""
+    return c.k, c.alpha
 
 
 def modulus_residual(c: TwoCircleConfig, k: float, alpha: float) -> float:
@@ -186,10 +186,9 @@ def _check_walk(n: int, m: int) -> None:
 
 
 def closure_residual(c: TwoCircleConfig, n: int, m: int) -> float:
-    """F(alpha, k) - (m/n) F(pi, k); zero exactly when the walk closes."""
+    """F(alpha, k) - (m/n) 2K(k); zero exactly when the walk closes."""
     _check_walk(n, m)
-    k, alpha = modulus_of_config(c)
-    return incomplete_F(alpha, k) - (m / n) * incomplete_F(math.pi, k)
+    return incomplete_F(c.alpha, c.k) - (m / n) * 2.0 * complete_K(c.k)
 
 
 # Brent's bracket tolerances: the root is returned within xtol + rtol*|a|

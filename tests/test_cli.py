@@ -277,6 +277,30 @@ class TestPoncelet:
         assert lines[0] == "i,phi"
         assert len(lines) == 12
 
+    @pytest.mark.parametrize("R", [1e-12, 1e200, 1.7e308])
+    def test_svg_in_units_of_R(self, R, tmp_path):
+        # the drawing reads a/R and r/R, so every R gives the R = 1 picture
+        unit = (
+            '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="480" '
+            'height="480" viewBox="0 0 480 480">\n'
+            '<g transform="translate(240.0,240.0) scale(208.695652,-208.695652)" '
+            'stroke-width="0.009583" fill="none">\n'
+            '<circle cx="0" cy="0" r="1.00000000" stroke="#888888"/>\n'
+            '<circle cx="-0.20000000" cy="0" r="0.50000000" stroke="#888888"/>\n'
+            '<polyline points="1.00000000,0.00000000 -0.65277778,0.75754945 '
+            '-0.74358620,-0.66864009 0.98123739,-0.19280347" stroke="#003366"/>\n'
+            '</g>\n</svg>\n')
+        drawings = []
+        for scale in (1.0, R):
+            target = tmp_path / f"{scale!r}.svg"
+            code, _ = run_cli(["poncelet", "--R", repr(scale), "--r", repr(0.5 * scale),
+                               "--a", repr(0.2 * scale), "--steps", "3", "--svg", str(target)])
+            assert code == 0
+            drawings.append(target.read_text())
+        factor = float(re.search(r"scale\(([^,]+),", drawings[1]).group(1))
+        assert math.isfinite(factor) and factor > 0.0
+        assert drawings == [unit, unit]
+
 
 def scalar_draw_criterion_4(col, rng):
     """Criterion 4 as it drew its samples one rng.uniform call at a time: the reference."""

@@ -192,6 +192,16 @@ class TestSphereVertices:
         with pytest.raises(InvariantError):
             build_sphere_vertices(bad)
 
+    def test_vertices_realise_sides(self, rng):
+        # the arc P_{i+2} P_{i+3} (1-based), measured on the vertices, is side p_i
+        for _ in range(200):
+            alpha, gamma = 10.0 ** rng.uniform(-2.0, 2.0, size=2)
+            pentagon = build_sphere_vertices(complete_from_two(float(alpha), float(gamma)))
+            for i, side in enumerate(pentagon.sides):
+                a, b = pentagon.vertices[(i + 2) % 5], pentagon.vertices[(i + 3) % 5]
+                arc = math.atan2(np.linalg.norm(np.cross(a, b)), np.dot(a, b))
+                assert abs(arc - side) <= 1e-12
+
     def test_identity_on_cycles(self, rng):
         for _ in range(25):
             alpha, gamma = rng.uniform(0.3, 8.0, size=2)

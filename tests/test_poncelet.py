@@ -52,9 +52,13 @@ class TestValidateConfig:
             dataclasses.replace(valid, a=0.6)
 
     def test_replace_recomputes_ratios(self):
-        # s = a/R and t = r/R are derived, so neither the constructor, repr nor == shows them
-        config = dataclasses.replace(TwoCircleConfig(1.0, 0.5, 0.2), R=2.0, a=0.4)
+        # s = a/R, t = r/R, k and alpha are derived, so neither the constructor, repr nor
+        # == shows them
+        original = TwoCircleConfig(1.0, 0.5, 0.2)
+        config = dataclasses.replace(original, R=2.0, a=0.4)
         assert (config.s, config.t) == (0.2, 0.25)
+        fresh = TwoCircleConfig(1.0, 0.25, 0.2)
+        assert (config.k, config.alpha) == (fresh.k, fresh.alpha) != (original.k, original.alpha)
         assert repr(config) == "TwoCircleConfig(R=2.0, r=0.5, a=0.4)"
         assert config == TwoCircleConfig(2.0, 0.5, 0.4)
 
@@ -88,15 +92,17 @@ class TestModulus:
         assert _ulps(k, unit) <= 1
         assert modulus_residual(config, k, alpha) <= 1e-12
 
-    # nested pairs within rounding of tangency: k^2 rounds to 1 for the first,
-    # and k = 0.999999999999934 is past the kernel's bound for the second
+    # nested pairs within rounding of tangency, refused when made: k^2 rounds to 1 for
+    # the first, and k = 0.999999999999934 is past the kernel's bound for the second
     @pytest.mark.parametrize("a", [0.23680569595328171, 0.2368056959532])
     def test_near_tangent_pair_names_the_bound(self, a):
-        config = TwoCircleConfig(1.0, 0.7631943040467181, a)
-        with pytest.raises(DomainError, match=re.escape(
-                f"exceeds MAX_MODULUS = {MAX_MODULUS!r}: a + r = {a + config.r!r} "
-                f"is too close to R = 1.0")):
-            modulus_of_config(config)
+        r = 0.7631943040467181
+        named = re.escape(f"exceeds MAX_MODULUS = {MAX_MODULUS!r}: a + r = {a + r!r} "
+                          f"is too close to R = 1.0")
+        with pytest.raises(DomainError, match=named):
+            TwoCircleConfig(1.0, r, a)
+        with pytest.raises(DomainError, match=named):
+            dataclasses.replace(TwoCircleConfig(1.0, 0.5, 0.2), r=r, a=a)
 
 
 class TestChordStep:
@@ -281,6 +287,18 @@ class TestClosureResidual:
     def test_bad_pair(self):
         with pytest.raises(DomainError):
             closure_residual(TwoCircleConfig(1.0, 0.5, 0.2), 2, 1)
+
+    def test_full_turn_is_twice_K(self, rng):
+        # 2K from the kernel's memo is F(pi, k) bit for bit
+        for _ in range(40):
+            t = float(rng.uniform(0.01, 0.99))
+            config = TwoCircleConfig(1.0, t, float(rng.uniform(0.0, min(t, 1.0 - t))))
+            k, alpha = config.k, config.alpha
+            for n in range(3, 13):
+                for m in range(1, n):
+                    if math.gcd(n, m) == 1:
+                        assert closure_residual(config, n, m) == (
+                            incomplete_F(alpha, k) - (m / n) * incomplete_F(math.pi, k))
 
 
 def _no_evaluation(*args):
