@@ -80,20 +80,12 @@ def cone_coefficients(alpha: float, gamma: float) -> ConeQuadric:
     return ConeQuadric(p=p, q=q, r=r)
 
 
-def _cubic(t: float, omega: float) -> float:
-    return ((4.0 * t - 4.0) * t + (1.0 - omega)) * t + omega
-
-
-def _cubic_derivative(t: float, omega: float) -> float:
-    return (12.0 * t - 8.0) * t + (1.0 - omega)
-
-
 def solve_characteristic(omega: float) -> SpectralTriple:
     """Three real roots of 4t^3 - 4t^2 + (1-omega)t + omega = 0, sorted.
 
-    Closed-form trigonometric solution of the depressed cubic, then a Newton
-    polish per root.  Inside the +-1e-10 window around the critical omega the
-    exact double root is returned instead.  The domain is omega in
+    Closed-form trigonometric solution of the depressed cubic, then two Newton
+    steps per root, sorted once polished.  Inside the +-1e-10 window around the
+    critical omega the exact double root is returned instead.  The domain is omega in
     [OMEGA_CRITICAL, OMEGA_TOP]: SubcriticalError below it, DomainError above
     it and for nan.  Every root there lies within a few ulps of the exact
     cubic's, but SpectralTriple.product_residuals checks them only up to
@@ -120,14 +112,13 @@ def solve_characteristic(omega: float) -> SpectralTriple:
     arg = 3.0 * qc / (pc * radius)
     arg = max(-1.0, min(1.0, arg))
     theta = math.acos(arg)
-    roots = sorted(
-        radius * math.cos((theta - 2.0 * math.pi * j) / 3.0) - A / 3.0
-        for j in range(3)
-    )
     polished = []
-    for t in roots:
+    for j in range(3):
+        t = radius * math.cos((theta - 2.0 * math.pi * j) / 3.0) - A / 3.0
+        # two Newton steps on the cubic and its derivative, both in Horner form
         for _ in range(2):
-            t -= _cubic(t, omega) / _cubic_derivative(t, omega)
+            t -= ((((4.0 * t - 4.0) * t + (1.0 - omega)) * t + omega)
+                  / ((12.0 * t - 8.0) * t + (1.0 - omega)))
         polished.append(t)
     G, Gp, Gpp = sorted(polished)
     return SpectralTriple(G=G, Gp=Gp, Gpp=Gpp, omega=omega)

@@ -6,6 +6,7 @@ import math
 from .errors import DomainError
 
 PI2_6 = math.pi ** 2 / 6.0
+PI2_2 = math.pi ** 2 / 2.0  # the five-term sum's constant
 
 # B_2k / (2k+1)! for k = 1..10, Bernoulli numbers B_2 = 1/6, B_4 = -1/30, ...
 # Each int/int literal is one correctly rounded division.  The next term,
@@ -85,4 +86,4 @@ def pentagon_five_term(betas) -> float:
     for v in betas:
         if not 0.0 < v < 1.0:
             raise DomainError(f"beta value {v!r} outside (0, 1)")
-    return sum(rogers_L(v) for v in betas) - math.pi ** 2 / 2.0
+    return sum(rogers_L(v) for v in betas) - PI2_2

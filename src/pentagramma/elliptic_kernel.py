@@ -32,10 +32,10 @@ MAX_ARGUMENT = 1e300
 _MAX_AGM_ITER = 64
 
 
-def _check_argument(name: str, x: float) -> None:
-    if not abs(x) <= MAX_ARGUMENT:
-        raise DomainError(f"argument {name}={x!r} is not a finite number "
-                          f"of magnitude <= {MAX_ARGUMENT!r}")
+def _argument_error(name: str, x: float) -> DomainError:
+    # built only once the caller's inline test abs(x) <= MAX_ARGUMENT failed
+    return DomainError(f"argument {name}={x!r} is not a finite number "
+                       f"of magnitude <= {MAX_ARGUMENT!r}")
 
 
 # Callers sweep a few moduli many times over; the bound keeps a stream of
@@ -81,7 +81,8 @@ def am(u: float, k: float) -> float:
     am(u + 2K) = am(u) + pi holds to rounding without explicit unwinding.
     """
     _, seed, ratios, _ = _agm_phases(k)
-    _check_argument("u", u)
+    if not abs(u) <= MAX_ARGUMENT:
+        raise _argument_error("u", u)
     phi = seed * u
     for ratio in ratios:
         phi = 0.5 * (phi + math.asin(ratio * math.sin(phi)))
@@ -100,9 +101,8 @@ def jacobi_triple(u: float, k: float) -> JacobiTriple:
     """(sn, cn, dn) at u.  dn is the positive root of 1 - k^2 sn^2."""
     phi = am(u, k)
     sn = math.sin(phi)
-    cn = math.cos(phi)
-    dn = math.sqrt(1.0 - (k * sn) ** 2)
-    return JacobiTriple(sn, cn, dn)
+    # tuple.__new__ skips the NamedTuple's Python-level __new__ frame
+    return tuple.__new__(JacobiTriple, (sn, math.cos(phi), math.sqrt(1.0 - (k * sn) ** 2)))
 
 
 def incomplete_F(phi: float, k: float) -> float:
@@ -116,7 +116,8 @@ def incomplete_F(phi: float, k: float) -> float:
     equals it but does not cancel when k -> 1 and cos theta -> -1.
     """
     _, seed, _, steps = _agm_phases(k)
-    _check_argument("phi", phi)
+    if not abs(phi) <= MAX_ARGUMENT:
+        raise _argument_error("phi", phi)
     for gap, geo in steps:
         s = math.sin(phi)
         c = math.cos(phi)

@@ -51,7 +51,9 @@ def eccentric_anomaly(point, axes) -> float:
     sy = y / b
     if abs(cx * cx + sy * sy - 1.0) > _FIT_TOL:
         raise OffEllipseError(f"point {(x, y)} misses the ellipse {axes}")
-    return math.atan2(sy, cx) % TWO_PI
+    phi = math.atan2(sy, cx) % TWO_PI
+    # just below the positive x axis atan2 is a tiny negative angle, and % rounds it up to 2pi
+    return phi if phi < TWO_PI else 0.0
 
 
 def pentagon_from_frame(f: PentagonFrame) -> PlanarPentagon:
@@ -120,17 +122,22 @@ def gauss_theorem_residuals(p: PlanarPentagon,
         raise InvariantError("root/rational coefficient forms disagree: "
                              "spectral triple inconsistent with its cubic")
 
-    res = ([], [], [], [])
+    # anomaly(j) for j = -2..6 at ext[j + 2], summed as anomaly() sums them
+    a = p.anomalies
+    ext = (a[3] - TWO_PI, a[4] - TWO_PI, a[0] + 0.0, a[1] + 0.0, a[2] + 0.0,
+           a[3] + 0.0, a[4] + 0.0, a[0] + TWO_PI, a[1] + TWO_PI)
+    ratio_pp, ratio_p = G / Gpp, G / Gp
+    columns = []  # the four residuals at position i, transposed into rows at the end
     for i in range(5):
-        phi = p.anomaly(i)
-        fm2, fp2 = p.anomaly(i - 2), p.anomaly(i + 2)
-        half_sum = 0.5 * (fm2 + fp2)
-        half_diff = math.cos(0.5 * (fm2 - fp2))
-        res[0].append(math.sin(half_sum) / half_diff - (G / Gpp) * math.sin(phi))
-        res[1].append(math.cos(half_sum) / half_diff - (G / Gp) * math.cos(phi))
-        fm1, fp1 = p.anomaly(i - 1), p.anomaly(i + 1)
-        half_sum = 0.5 * (fm1 + fp1)
-        half_diff = math.cos(0.5 * (fm1 - fp1))
-        res[2].append(math.sin(half_sum) / half_diff - coeff_pp * math.sin(phi))
-        res[3].append(math.cos(half_sum) / half_diff - coeff_p * math.cos(phi))
-    return tuple(tuple(row) for row in res)
+        sin_phi, cos_phi = math.sin(ext[i + 2]), math.cos(ext[i + 2])
+        fm2, fp2 = ext[i], ext[i + 4]
+        half_sum2 = 0.5 * (fm2 + fp2)
+        half_diff2 = math.cos(0.5 * (fm2 - fp2))
+        fm1, fp1 = ext[i + 1], ext[i + 3]
+        half_sum1 = 0.5 * (fm1 + fp1)
+        half_diff1 = math.cos(0.5 * (fm1 - fp1))
+        columns.append((math.sin(half_sum2) / half_diff2 - ratio_pp * sin_phi,
+                        math.cos(half_sum2) / half_diff2 - ratio_p * cos_phi,
+                        math.sin(half_sum1) / half_diff1 - coeff_pp * sin_phi,
+                        math.cos(half_sum1) / half_diff1 - coeff_p * cos_phi))
+    return tuple(zip(*columns))

@@ -152,13 +152,12 @@ class SpherePentagon:
     sides: tuple[float, ...]      # p_i = arctan sqrt(alpha_i), the arc P_{i+2} P_{i+3} (1-based)
 
 
-def _dot(a, b) -> float:
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
 def orthogonality_residuals(vertices) -> tuple[float, ...]:
-    """Dot products of next-nearest vertex pairs; zero for a genuine pentagon."""
-    return tuple(_dot(vertices[(j - 1) % 5], vertices[(j + 1) % 5]) for j in range(5))
+    """Dot products P_{j-1} . P_{j+1} for j = 0..4; zero for a genuine pentagon."""
+    (x0, y0, z0), (x1, y1, z1), (x2, y2, z2), (x3, y3, z3), (x4, y4, z4) = vertices
+    return (x4 * x1 + y4 * y1 + z4 * z1, x0 * x2 + y0 * y2 + z0 * z2,
+            x1 * x3 + y1 * y3 + z1 * z3, x2 * x4 + y2 * y4 + z2 * z4,
+            x3 * x0 + y3 * y0 + z3 * z0)
 
 
 def build_sphere_vertices(c: AlphaCycle) -> SpherePentagon:

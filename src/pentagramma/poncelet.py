@@ -31,7 +31,8 @@ class TwoCircleConfig:
     R is finite, 0 <= a < r and a + r < R: the circles are strictly nested and
     the outer centre lies inside the inner circle.  GeometryError names a broken bound.
     Once checked it holds s = a/R and t = r/R, the only ratios the formulas read, and
-    from them the modulus k^2 = 4Ra/((R+a)^2 - r^2) and amplitude cos(alpha) = r/(R+a).
+    from them the modulus k^2 = 4Ra/((R+a)^2 - r^2), amplitude cos(alpha) = r/(R+a) and
+    the chord recursion's ratio rho = (1-s)/(1+s).
     k above the kernel's MAX_MODULUS (a + r too near R) is a DomainError naming k and a + r.
     """
 
@@ -42,6 +43,7 @@ class TwoCircleConfig:
     t: float = field(init=False, repr=False, compare=False)
     k: float = field(init=False, repr=False, compare=False)
     alpha: float = field(init=False, repr=False, compare=False)
+    rho: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         R, r, a = self.R, self.r, self.a
@@ -63,7 +65,8 @@ class TwoCircleConfig:
             raise DomainError(f"modulus k={k!r} exceeds MAX_MODULUS = {MAX_MODULUS!r}: a + r = "
                               f"{a + r!r} is too close to R = {R!r} (tangency) for the kernel")
         alpha = math.acos(t / (1.0 + s))
-        for name, value in (("s", s), ("t", t), ("k", k), ("alpha", alpha)):
+        rho = (1.0 - s) / (1.0 + s)
+        for name, value in (("s", s), ("t", t), ("k", k), ("alpha", alpha), ("rho", rho)):
             object.__setattr__(self, name, value)
         residual = modulus_residual(self, k, alpha)
         if residual > 1e-12:
@@ -85,9 +88,8 @@ def modulus_of_config(c: TwoCircleConfig) -> tuple[float, float]:
 
 def modulus_residual(c: TwoCircleConfig, k: float, alpha: float) -> float:
     """Worse of |sqrt(1 - k^2 sin^2 alpha) - (1-s)/(1+s)| and |cos(alpha) - t/(1+s)|."""
-    s, t = c.s, c.t
-    return max(abs(math.sqrt(1.0 - (k * math.sin(alpha)) ** 2) - (1.0 - s) / (1.0 + s)),
-               abs(math.cos(alpha) - t / (1.0 + s)))
+    return max(abs(math.sqrt(1.0 - (k * math.sin(alpha)) ** 2) - c.rho),
+               abs(math.cos(alpha) - c.t / (1.0 + c.s)))
 
 
 def chord_step(c: TwoCircleConfig, phi: float, prev: float | None = None) -> float:
@@ -120,8 +122,7 @@ def chord_step(c: TwoCircleConfig, phi: float, prev: float | None = None) -> flo
     nxt = phi + (ahead if ahead_forward else behind)
     if prev is not None:
         half = 0.5 * (nxt + prev)
-        rho = (1.0 - s) / (1.0 + s)
-        res = math.sin(half) * cos_phi - rho * math.cos(half) * sin_phi
+        res = math.sin(half) * cos_phi - c.rho * math.cos(half) * sin_phi
         if abs(res) > 1e-10:
             raise InvariantError(f"chord recursion residual {res:.3e}")
     return nxt

@@ -131,6 +131,36 @@ class TestSolveCharacteristic:
                 slack = 4 * math.ulp(t)
                 assert cubic(t - slack, omega) * cubic(t + slack, omega) <= 0, (omega, t)
 
+    def test_polish_bit_for_bit(self):
+        # the roots as first formed: sorted, polished through the two helper polynomials, sorted
+        def cubic(t, omega):
+            return ((4.0 * t - 4.0) * t + (1.0 - omega)) * t + omega
+
+        def cubic_derivative(t, omega):
+            return (12.0 * t - 8.0) * t + (1.0 - omega)
+
+        def reference(omega):
+            A, B, C = -1.0, (1.0 - omega) / 4.0, omega / 4.0
+            pc = B - A * A / 3.0
+            qc = 2.0 * A ** 3 / 27.0 - A * B / 3.0 + C
+            radius = 2.0 * math.sqrt(-pc / 3.0)
+            theta = math.acos(max(-1.0, min(1.0, 3.0 * qc / (pc * radius))))
+            roots = sorted(radius * math.cos((theta - 2.0 * math.pi * j) / 3.0) - A / 3.0
+                           for j in range(3))
+            polished = []
+            for t in roots:
+                for _ in range(2):
+                    t -= cubic(t, omega) / cubic_derivative(t, omega)
+                polished.append(t)
+            return sorted(polished)
+
+        omegas = np.concatenate([OMEGA_CRITICAL + np.geomspace(1e-10, 1.0, 200),
+                                 np.geomspace(OMEGA_CRITICAL + 1.0, OMEGA_TOP, 3000), [OMEGA_TOP]])
+        for omega in omegas:
+            s = solve_characteristic(float(omega))
+            assert [x.hex() for x in (s.G, s.Gp, s.Gpp)] == \
+                [x.hex() for x in reference(float(omega))], omega
+
     def test_near_critical_continuity(self):
         # just above the exact-double-root window the full solve must agree
         s = solve_characteristic(OMEGA_CRITICAL + 1e-9)

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from scipy.special import ellipkinc
 
 from pentagramma import elliptic_kernel
-from pentagramma.elliptic_kernel import (MAX_ARGUMENT, MAX_MODULUS, _agm_phases, am,
-                                         complete_K, half_angle_tan, incomplete_F,
+from pentagramma.elliptic_kernel import (MAX_ARGUMENT, MAX_MODULUS, JacobiTriple, _agm_phases,
+                                         am, complete_K, half_angle_tan, incomplete_F,
                                          jacobi_sum, jacobi_triple)
 from pentagramma.errors import DomainError, InvariantError, NearPoleError
 from pentagramma.oracles import invert_quad_F, quad_F, quad_K
@@ -207,6 +207,17 @@ class TestJacobiTriple:
             assert cn == pytest.approx(math.cos(u), abs=1e-14)
             assert dn == 1.0
 
+    def test_named_fields_are_trig_of_am_bit_for_bit(self, rng):
+        for k, u in zip(rng.uniform(0.0, MAX_MODULUS, 300), rng.uniform(-50.0, 50.0, 300)):
+            triple = jacobi_triple(u, k)
+            assert type(triple) is JacobiTriple
+            assert triple._fields == ("sn", "cn", "dn")
+            phi = am(u, k)
+            sn = math.sin(phi)
+            assert (triple.sn, triple.cn, triple.dn) == (
+                sn, math.cos(phi), math.sqrt(1.0 - (k * sn) ** 2))
+            assert triple == tuple(triple) and repr(triple).startswith("JacobiTriple(sn=")
+
 
 class TestAdditionFormulas:
     def test_v_zero(self, rng):
@@ -276,11 +287,18 @@ class TestHalfAngleTan:
 
 @pytest.mark.parametrize("func, name", [(am, "u"), (jacobi_triple, "u"),
                                         (incomplete_F, "phi")])
-@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, 1e308, -1e308])
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, 1e308, -1e308,
+                               math.nextafter(MAX_ARGUMENT, math.inf),
+                               math.nextafter(-MAX_ARGUMENT, -math.inf)])
 def test_argument_outside_domain(func, name, x):
-    with pytest.raises(DomainError, match=f"argument {name}="):
+    # the whole message, and a bad modulus is still named ahead of the argument
+    with pytest.raises(DomainError, match=re.escape(
+            f"argument {name}={x!r} is not a finite number of magnitude <= 1e+300")):
         func(x, 0.5)
+    with pytest.raises(DomainError, match=re.escape("modulus k=1.0 outside")):
+        func(x, 1.0)
     func(MAX_ARGUMENT, MAX_MODULUS)
+    func(-MAX_ARGUMENT, 0.5)
 
 
 # outside [0, MAX_MODULUS]: negative, nan, 1, and the next float above the bound

@@ -9,7 +9,7 @@ from pentagramma.errors import InvariantError, OffEllipseError, SingularError
 from pentagramma.gauss_projection import (PlanarPentagon, confocal_residual, eccentric_anomaly,
                                           gauss_theorem_residuals, pentagon_from_frame,
                                           recover_from_pm1, recover_from_pm2)
-from pentagramma.napier_uniformization import alpha_sequence, frame_vectors
+from pentagramma.napier_uniformization import alpha_sequence, frame_vectors, sweep_frames
 from pentagramma.oracles import chord_alphas, chord_betas
 from pentagramma.pentagram_algebra import GOLDEN
 
@@ -40,6 +40,12 @@ class TestEccentricAnomaly:
     def test_off_ellipse_rejected(self):
         with pytest.raises(OffEllipseError):
             eccentric_anomaly((2.1, 0.1), (2.0, 1.0))
+
+    @pytest.mark.parametrize("u", [-1e-17, -1e-300, -5e-324])
+    def test_just_below_the_axis_wraps_to_zero(self, u):
+        # atan2 gives a tiny negative angle, and x % 2pi rounds that up to 2pi itself
+        assert eccentric_anomaly((2.0, u), (2.0, 1.0)) == 0.0
+        assert pentagon_from_frame(frame_vectors(0.5, u)).anomalies[0] == 0.0
 
 
 class TestPentagonFromFrame:
@@ -165,3 +171,31 @@ class TestAnomalyTheorem:
                               anomalies=tuple(a + 0.05 * (-1) ** j
                                               for j, a in enumerate(pentagon.anomalies)))
         assert np.abs(gauss_theorem_residuals(bent, s)).max() > 1e-3
+
+    def test_sums_through_anomaly_bit_for_bit(self):
+        # the residuals as first formed, anomalies read through PlanarPentagon.anomaly(j)
+        def reference(p, s):
+            G, Gp, Gpp = s.G, s.Gp, s.Gpp
+            coeff_pp = G * (2.0 * G - 1.0) / (Gpp * (2.0 * Gpp - 1.0))
+            coeff_p = G * (2.0 * G - 1.0) / (Gp * (2.0 * Gp - 1.0))
+            res = ([], [], [], [])
+            for i in range(5):
+                phi = p.anomaly(i)
+                fm2, fp2 = p.anomaly(i - 2), p.anomaly(i + 2)
+                half_sum = 0.5 * (fm2 + fp2)
+                half_diff = math.cos(0.5 * (fm2 - fp2))
+                res[0].append(math.sin(half_sum) / half_diff - (G / Gpp) * math.sin(phi))
+                res[1].append(math.cos(half_sum) / half_diff - (G / Gp) * math.cos(phi))
+                fm1, fp1 = p.anomaly(i - 1), p.anomaly(i + 1)
+                half_sum = 0.5 * (fm1 + fp1)
+                half_diff = math.cos(0.5 * (fm1 - fp1))
+                res[2].append(math.sin(half_sum) / half_diff - coeff_pp * math.sin(phi))
+                res[3].append(math.cos(half_sum) / half_diff - coeff_p * math.cos(phi))
+            return tuple(tuple(row) for row in res)
+
+        for frame in sweep_frames(np.random.default_rng(7), 30):
+            pentagon = pentagon_from_frame(frame)
+            s = solve_characteristic(alpha_sequence(frame).omega())
+            ours, ref = gauss_theorem_residuals(pentagon, s), reference(pentagon, s)
+            assert [[x.hex() for x in row] for row in ours] == \
+                [[x.hex() for x in row] for row in ref], (frame.k, frame.u)

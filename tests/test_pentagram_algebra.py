@@ -181,6 +181,19 @@ class TestSphereVertices:
         pentagon = build_sphere_vertices(complete_from_two(9.0, 2.0))
         assert max(abs(r) for r in orthogonality_residuals(pentagon.vertices)) < 1e-10
 
+    def test_orthogonality_residuals_bit_for_bit(self, rng):
+        # the dot products as first formed, through a three-term dot helper
+        def dot(a, b):
+            return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+        for _ in range(300):
+            alpha, gamma = 10.0 ** rng.uniform(-2.0, 2.0, size=2)
+            vertices = build_sphere_vertices(complete_from_two(float(alpha), float(gamma))).vertices
+            for rows in (vertices, tuple(tuple(r) for r in rng.normal(size=(5, 3)))):
+                ours = orthogonality_residuals(rows)
+                ref = tuple(dot(rows[(j - 1) % 5], rows[(j + 1) % 5]) for j in range(5))
+                assert [float(x).hex() for x in ours] == [float(x).hex() for x in ref]
+
     def test_regular_sides(self):
         pentagon = build_sphere_vertices(complete_from_two(GOLDEN, GOLDEN))
         expected = (math.sqrt(5) - 1) / 2
