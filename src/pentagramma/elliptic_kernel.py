@@ -13,7 +13,6 @@ ever used as an independent test oracle, never in this module.
 """
 from __future__ import annotations
 
-import functools
 import math
 from typing import NamedTuple
 
@@ -39,16 +38,28 @@ def _argument_error(name: str, x: float) -> DomainError:
 
 
 # Callers sweep a few moduli many times over; the bound keeps a stream of
-# fresh k (the battery draws hundreds per run) from growing the memo.
-@functools.lru_cache(maxsize=256)
-def _agm_phases(k: float) -> tuple[float, float, tuple, tuple]:
-    """AGM of (a_0, b_0, c_0) = (1, k', k) to machine convergence.
+# fresh k (the battery draws hundreds per run) from growing the memo.  The
+# callers read _PHASES.get(k) inline: a wrapper call would cost as much as the
+# lookup it saves.
+_PHASES: dict = {}
+_MEMO_SIZE = 256
+
+# asin(x) == x to rounding for |x| < 2^-26 (its x^3/6 is below half an ulp)
+_ASIN_FREE = 2.0 ** -26
+
+
+def _agm_phases(k: float) -> tuple[float, float, tuple, tuple, tuple]:
+    """AGM of (a_0, b_0, c_0) = (1, k', k) to machine convergence, memoised.
 
     The kernel's one modulus check: k outside [0, MAX_MODULUS] raises
-    DomainError here.  lru_cache keeps no call that raised, so a bad k is
-    rejected on every call and each memo entry is a k checked once.
+    DomainError here, before the memo is touched, so a bad k is rejected on
+    every call and each entry of _PHASES is a k checked once.  The memo keeps
+    the _MEMO_SIZE newest moduli and evicts the oldest.
     Returns K = pi / (2 a_N), the seed scale 2^N a_N, am's descent ratios
-    c_n/a_n for n = N..1, and F's step constants (c_n, b_{n-1}) for n = 1..N.
+    c_n/a_n for n = N..1 split into the leading ones below _ASIN_FREE and the
+    rest, and F's step constants (c_n, b_{n-1}) for n = 1..N.  When the last
+    c_N is exactly 0 its step is an exact halving in am and an exact doubling
+    in F, so that step is folded into the seed 2^(N-1) a_N instead.
     """
     if not 0.0 <= k <= MAX_MODULUS:
         raise DomainError(f"modulus k={k!r} outside [0, MAX_MODULUS = {MAX_MODULUS!r}]")
@@ -59,17 +70,29 @@ def _agm_phases(k: float) -> tuple[float, float, tuple, tuple]:
         # quadratic convergence bottoms out at rounding noise ~eps*a, so the
         # cut sits just above one ulp, with a plateau guard behind it
         if abs(c) <= 2.5e-16 * a or abs(nxt[2]) >= abs(c):
-            return (math.pi / (2.0 * a), math.ldexp(a, len(steps)),
-                    tuple(reversed(ratios)), tuple(steps))
+            break
         steps.append((nxt[2], b))
         a, b, c = nxt
         ratios.append(c / a)
-    raise InvariantError(f"AGM failed to converge for k={k!r}")
+    else:
+        raise InvariantError(f"AGM failed to converge for k={k!r}")
+    if steps and c == 0.0:
+        del ratios[-1], steps[-1]
+    ratios.reverse()
+    small = 0
+    while small < len(ratios) and abs(ratios[small]) < _ASIN_FREE:
+        small += 1
+    phases = (math.pi / (2.0 * a), math.ldexp(a, len(steps)),
+              tuple(ratios[:small]), tuple(ratios[small:]), tuple(steps))
+    if len(_PHASES) >= _MEMO_SIZE:
+        del _PHASES[next(iter(_PHASES))]
+    _PHASES[k] = phases
+    return phases
 
 
 def complete_K(k: float) -> float:
     """Quarter-period K(k), exact to the last AGM iterate."""
-    return _agm_phases(k)[0]
+    return (_PHASES.get(k) or _agm_phases(k))[0]
 
 
 def am(u: float, k: float) -> float:
@@ -79,11 +102,16 @@ def am(u: float, k: float) -> float:
     phi_{n-1} = (phi_n + asin((c_n/a_n) sin phi_n)) / 2.  Because the seed is
     linear in u and every descent step is a contraction, the quasi-period
     am(u + 2K) = am(u) + pi holds to rounding without explicit unwinding.
+    A step whose ratio c_n/a_n is exactly 0 is a halving, already folded into
+    the seed; a step whose ratio is below 2^-26 drops the asin, which returns
+    its argument unchanged there.
     """
-    _, seed, ratios, _ = _agm_phases(k)
+    _, seed, small, ratios, _ = _PHASES.get(k) or _agm_phases(k)
     if not abs(u) <= MAX_ARGUMENT:
         raise _argument_error("u", u)
     phi = seed * u
+    for ratio in small:
+        phi = 0.5 * (phi + ratio * math.sin(phi))
     for ratio in ratios:
         phi = 0.5 * (phi + math.asin(ratio * math.sin(phi)))
     return phi
@@ -115,7 +143,7 @@ def incomplete_F(phi: float, k: float) -> float:
     The denominator is evaluated as b_{n-1} + 2 c_n cos^2 phi_{n-1}, which
     equals it but does not cancel when k -> 1 and cos theta -> -1.
     """
-    _, seed, _, steps = _agm_phases(k)
+    _, seed, _, _, steps = _PHASES.get(k) or _agm_phases(k)
     if not abs(phi) <= MAX_ARGUMENT:
         raise _argument_error("phi", phi)
     for gap, geo in steps:
@@ -137,7 +165,7 @@ def jacobi_sum(u: float, v: float, k: float) -> JacobiTriple:
     sn = (su * cv * dv + cu * sv * du) / denom
     cn = (cu * cv - su * sv * du * dv) / denom
     dn = (du * dv - k * k * su * sv * cu * cv) / denom
-    return JacobiTriple(sn, cn, dn)
+    return tuple.__new__(JacobiTriple, (sn, cn, dn))
 
 
 def half_angle_tan(x: float, y: float, k: float) -> float:

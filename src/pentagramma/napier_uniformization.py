@@ -97,7 +97,13 @@ def beta_sequence(f: PentagonFrame) -> tuple[float, ...]:
 
 
 def omega_of_k(k: float) -> float:
-    """Shape invariant of the k-frame; independent of u, so evaluated at u=0."""
+    """Shape invariant of the k-frame; independent of u, so evaluated at u=0.
+
+    Increasing in k, but only above k ~ 5e-4 at the ulp level: below that the
+    true omega - OMEGA_CRITICAL (about k^4) is under the rounding of the
+    frame, and reads -1, -2, 9, -1, 2 and 11 ulps of OMEGA_CRITICAL at
+    k = 0, 1e-5, 2e-4, 3e-4, 3.3e-4 and 4e-4.
+    """
     return alpha_sequence(frame_vectors(k, 0.0)).omega()
 
 
@@ -114,7 +120,9 @@ def k_of_omega(omega: float) -> float:
     [OMEGA_CRITICAL, OMEGA_MAX] <-> k in [0, MAX_MODULUS]; below it
     SubcriticalError (slack 1e-12), above it DomainError.  Near the critical
     value omega - OMEGA_CRITICAL grows like k^4, so k is ill-conditioned
-    there, and inside the 1e-10 window around it k is exactly 0.
+    there, and inside the 1e-10 window around it k is exactly 0.  Nor does
+    omega_of_k invert this below k ~ 5e-4, where it is not monotone at the
+    ulp level (see omega_of_k).
     """
     if not omega <= OMEGA_MAX:
         raise DomainError(f"omega={omega!r} beyond OMEGA_MAX = {OMEGA_MAX!r}: "

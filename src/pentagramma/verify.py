@@ -214,11 +214,11 @@ def criterion_9(col: _Collector, rng) -> None:
             1e-12)
     worst_reflection = max(
         abs(dilogarithm.rogers_L(x) + dilogarithm.rogers_L(1.0 - x) - PI ** 2 / 6)
-        for x in rng.uniform(1e-6, 1.0 - 1e-6, size=1000))
+        for x in rng.uniform(1e-6, 1.0 - 1e-6, size=1000).tolist())
     col.add("dilog.reflection", worst_reflection, 1e-11)
     worst_spence = max(
         abs(dilogarithm.spence_residual(x, y))
-        for x, y in rng.uniform(1e-6, 1.0 - 1e-6, size=(1000, 2)))
+        for x, y in rng.uniform(1e-6, 1.0 - 1e-6, size=(1000, 2)).tolist())
     col.add("dilog.spence", worst_spence, 1e-11)
 
     worst_sum = 0.0

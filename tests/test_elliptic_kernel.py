@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from scipy.special import ellipkinc
 
 from pentagramma import elliptic_kernel
-from pentagramma.elliptic_kernel import (MAX_ARGUMENT, MAX_MODULUS, JacobiTriple, _agm_phases,
-                                         am, complete_K, half_angle_tan, incomplete_F,
-                                         jacobi_sum, jacobi_triple)
+from pentagramma.elliptic_kernel import (_MEMO_SIZE, _PHASES, MAX_ARGUMENT, MAX_MODULUS,
+                                         JacobiTriple, am, complete_K, half_angle_tan,
+                                         incomplete_F, jacobi_sum, jacobi_triple)
 from pentagramma.errors import DomainError, InvariantError, NearPoleError
 from pentagramma.oracles import invert_quad_F, quad_F, quad_K
 
@@ -312,14 +312,14 @@ ENTRY_POINTS = {"complete_K": lambda x, k: complete_K(k), "am": am,
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
 @pytest.mark.parametrize("k", BAD_MODULI)
 def test_modulus_outside_domain(entry, k):
-    # the phase memo is the one check; a call that raised is never memoised, so
-    # the second call raises too, and a bad argument is reported after the modulus
-    size = _agm_phases.cache_info().currsize
+    # the phase memo is the one check; a bad k never enters it, so the second
+    # call raises too, and a bad argument is reported after the modulus
+    memo = dict(_PHASES)
     for x in (0.3, 0.3, math.nan):
         with pytest.raises(DomainError, match=re.escape(
                 f"modulus k={k!r} outside [0, MAX_MODULUS = {MAX_MODULUS!r}]")):
             ENTRY_POINTS[entry](x, k)
-    assert _agm_phases.cache_info().currsize == size
+    assert _PHASES == memo
 
 
 class TestPhaseMemo:
@@ -331,19 +331,76 @@ class TestPhaseMemo:
         return out
 
     def test_cold_and_warm_bit_identical(self):
-        _agm_phases.cache_clear()
+        _PHASES.clear()
         cold = self.evaluate()
-        assert _agm_phases.cache_info().currsize == 4
+        assert len(_PHASES) == 4
+        entries = list(_PHASES.values())
         warm = self.evaluate()
-        assert _agm_phases.cache_info().hits > 0
+        # the warm run read every modulus from the memo: no entry was remade
+        assert all(a is b for a, b in zip(_PHASES.values(), entries, strict=True))
         assert cold == warm
 
     def test_bounded(self, rng):
-        maxsize = _agm_phases.cache_info().maxsize
-        assert maxsize is not None and maxsize > 0
-        for k in rng.uniform(0.0, 0.99, size=maxsize + 50):
+        assert _MEMO_SIZE > 0
+        for k in rng.uniform(0.0, 0.99, size=_MEMO_SIZE + 50):
             complete_K(float(k))
-        assert _agm_phases.cache_info().currsize == maxsize
+        assert len(_PHASES) == _MEMO_SIZE
+
+
+def _reference_phases(k):
+    # the descent as first written: every AGM step kept, the last one too
+    a, b, c = 1.0, math.sqrt((1.0 - k) * (1.0 + k)), k
+    ratios, steps = [], []
+    while True:
+        nxt = (0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b))
+        if abs(c) <= 2.5e-16 * a or abs(nxt[2]) >= abs(c):
+            return math.pi / (2.0 * a), math.ldexp(a, len(steps)), ratios[::-1], steps
+        steps.append((nxt[2], b))
+        a, b, c = nxt
+        ratios.append(c / a)
+
+
+def _reference_am(u, k):
+    # every step through asin
+    _, seed, ratios, _ = _reference_phases(k)
+    phi = seed * u
+    for ratio in ratios:
+        phi = 0.5 * (phi + math.asin(ratio * math.sin(phi)))
+    return phi
+
+
+def _reference_F(phi, k):
+    _, seed, _, steps = _reference_phases(k)
+    for gap, geo in steps:
+        s, c = math.sin(phi), math.cos(phi)
+        phi = 2.0 * phi - math.atan2(2.0 * gap * s * c, geo + 2.0 * gap * c * c)
+    return phi / seed
+
+
+def test_reference_moduli_cover_both_last_gaps():
+    # the last AGM gap c_N is exactly 0 at 0.1, 0.5 and 0.9 (a step the kernel
+    # folds into its seed), and rounding noise at 0.3, 0.6 and 0.8
+    assert [_reference_phases(k)[3][-1][0] == 0.0 for k in (0.1, 0.5, 0.9, 0.3, 0.6, 0.8)] \
+        == [True] * 3 + [False] * 3
+
+
+@pytest.mark.parametrize("k", [0.1, 0.5, 0.9, 0.3, 0.6, 0.8, 1e-300, 1.0 - 1e-9, MAX_MODULUS])
+def test_descent_matches_full_reference_bit_for_bit(k, rng):
+    quarter = complete_K(k)
+    assert quarter.hex() == _reference_phases(k)[0].hex()
+    # normal |u| from the smallest normal double to MAX_ARGUMENT (subnormal u is
+    # test_subnormal_argument's), both signs, and the quarter-period lattice
+    mags = [sys.float_info.min, 1e-300, 1e-100, 1e-20, 1e-8, 1e-3, 0.3, 1.0, 10.0,
+            1e3, 1e6, 1e100, MAX_ARGUMENT]
+    mags += [j * quarter for j in range(1, 9)]
+    mags += (10.0 ** rng.uniform(-307.0, 300.0, 60)).tolist()
+    mags += (10.0 ** rng.uniform(-3.0, 6.0, 60)).tolist()
+    for u in mags + [-x for x in mags]:
+        phi = _reference_am(u, k)
+        sn = math.sin(phi)
+        expected = (phi, sn, math.cos(phi), math.sqrt(1.0 - (k * sn) ** 2), _reference_F(u, k))
+        got = (am(u, k), *jacobi_triple(u, k), incomplete_F(u, k))
+        assert [x.hex() for x in got] == [x.hex() for x in expected], u
 
 
 def _mpmath_F(phi, k):
