@@ -146,9 +146,10 @@ def incomplete_F(phi: float, k: float) -> float:
     _, seed, _, _, steps = _PHASES.get(k) or _agm_phases(k)
     if not abs(phi) <= MAX_ARGUMENT:
         raise _argument_error("phi", phi)
+    if phi == 0.0:  # F is odd: -0.0 stays -0.0, which the descent would turn into +0.0
+        return phi
     for gap, geo in steps:
-        s = math.sin(phi)
-        c = math.cos(phi)
+        s, c = math.sin(phi), math.cos(phi)
         phi = 2.0 * phi - math.atan2(2.0 * gap * s * c, geo + 2.0 * gap * c * c)
     return phi / seed
 

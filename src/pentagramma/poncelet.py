@@ -23,6 +23,9 @@ from .errors import (DomainError, GeometryError, InvariantError, NoSolutionError
 if TYPE_CHECKING:  # numpy is imported where the walk is built, not with the module
     import numpy as np
 
+# the chord step's libm calls, looked up once here rather than on math per call
+_sin, _cos, _hypot, _atan2, _acos = math.sin, math.cos, math.hypot, math.atan2, math.acos
+
 
 @dataclass(frozen=True)
 class TwoCircleConfig:
@@ -95,34 +98,31 @@ def modulus_residual(c: TwoCircleConfig, k: float, alpha: float) -> float:
 def chord_step(c: TwoCircleConfig, phi: float, prev: float | None = None) -> float:
     """Next half-angle along the forward tangent chord.
 
-    The tangency condition (R+a) cos q cos phi + (R-a) sin q sin phi = r is
-    linear in (cos q, sin q), so two chords leave each vertex; the forward
-    one advances the angle by an offset in (0, pi).  In units of R the coefficient
-    vector is (1+s) cos phi + i (1-s) sin phi, of modulus amp and argument psi; turned
-    back by phi it is 1 + s e^{-2i phi}, whose real part is positive, so its
-    argument is psi - phi already wrapped into (-pi/2, pi/2), and the two
-    candidate offsets psi - phi +- acos(t/amp) need no further reduction.
+    The tangency condition (R+a) cos q cos phi + (R-a) sin q sin phi = r is linear in
+    (cos q, sin q), so two chords leave each vertex, offset psi - phi +- acos(t/amp) from
+    phi, where amp e^{i psi} = (1+s) cos phi + i (1-s) sin phi in units of R.  Turned back
+    by phi that is 1 + s e^{-2i phi}, on the circle of radius s < 1 about 1, so
+    |psi - phi| <= asin(s) < pi/2 unreduced; with acos in [0, pi/2] the + offset is below
+    pi, and it is the forward chord, the one offset in (0, pi), when the - offset is <= 0.
     With the previous vertex supplied, the three-term recursion
     tan((next+prev)/2) = (1-s)/(1+s) tan(phi) is asserted in cross-multiplied
     form (the tan form has poles on any long trajectory).
     """
     s, t = c.s, c.t
-    sin_phi, cos_phi = math.sin(phi), math.cos(phi)
+    sin_phi, cos_phi = _sin(phi), _cos(phi)
     re_part = 1.0 + s * (cos_phi - sin_phi) * (cos_phi + sin_phi)
     im_part = -2.0 * s * sin_phi * cos_phi
-    amp = math.hypot(re_part, im_part)
+    amp = _hypot(re_part, im_part)
     if amp < t:
         raise NoTangentError("no real chord: configuration outside validity")
-    base = math.atan2(im_part, re_part)
-    delta = math.acos(t / amp)
-    ahead, behind = base + delta, base - delta
-    ahead_forward = 0.0 < ahead < math.pi
-    if ahead_forward == (0.0 < behind < math.pi):
+    base, delta = _atan2(im_part, re_part), _acos(t / amp)
+    ahead = base + delta
+    if not base - delta <= 0.0 < ahead:
         raise NoTangentError(f"forward branch ambiguous at phi={phi!r}")
-    nxt = phi + (ahead if ahead_forward else behind)
+    nxt = phi + ahead
     if prev is not None:
         half = 0.5 * (nxt + prev)
-        res = math.sin(half) * cos_phi - c.rho * math.cos(half) * sin_phi
+        res = _sin(half) * cos_phi - c.rho * _cos(half) * sin_phi
         if abs(res) > 1e-10:
             raise InvariantError(f"chord recursion residual {res:.3e}")
     return nxt
@@ -161,17 +161,15 @@ def trajectory(c: TwoCircleConfig, phi0: float, n: int) -> PonceletTrajectory:
     theta = float(phi0)
     bound = theta + _TWO_PI_HI
     phis = array("d", (theta,))  # packed doubles: 8 bytes a chord, not a float object
-    prev, turns, lo, hi = None, 0, 0.0, 0.0
+    append, prev, turns, lo, hi = phis.append, None, 0, 0.0, 0.0
     for _ in range(n):
-        nxt = chord_step(c, theta, prev)
-        prev = theta
-        if nxt >= bound:
-            nxt = nxt - _TWO_PI_HI - _TWO_PI_LO
+        prev, theta = theta, chord_step(c, theta, prev)
+        if theta >= bound:
+            theta = theta - _TWO_PI_HI - _TWO_PI_LO
             prev = prev - _TWO_PI_HI - _TWO_PI_LO
             turns += 1
             lo, hi = turns * _TWO_PI_LO, turns * _TWO_PI_HI
-        phis.append(nxt + lo + hi)
-        theta = nxt
+        append(theta + lo + hi)
     return PonceletTrajectory(phis=np.frombuffer(phis), config=c)
 
 

@@ -53,6 +53,13 @@ class TestIncompleteF:
     def test_zero(self):
         assert incomplete_F(0.0, 0.7) == 0.0
 
+    @pytest.mark.parametrize("k", [0.0, 1e-9, 0.3, 0.5, 0.9, MAX_MODULUS])
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_signed_zero(self, zero, k):
+        # F is odd, as am is: the sign of a zero argument survives both ways
+        assert math.copysign(1.0, incomplete_F(zero, k)) == math.copysign(1.0, am(zero, k)) \
+            == math.copysign(1.0, zero)
+
     def test_quarter_period(self):
         for k in (0.0, 0.3, 0.8):
             assert incomplete_F(math.pi / 2, k) == pytest.approx(

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from pentagramma import poncelet
 from pentagramma.elliptic_kernel import MAX_MODULUS, am, incomplete_F
-from pentagramma.errors import DomainError, GeometryError, NoSolutionError
+from pentagramma.errors import (DomainError, GeometryError, InvariantError, NoSolutionError,
+                                NoTangentError)
 from pentagramma.poncelet import (PHI0_MAX, TwoCircleConfig, chord_step, closure_residual,
                                   modulus_of_config, modulus_residual,
                                   search_closing_config, trajectory)
@@ -181,6 +182,104 @@ class TestChordStepProperties:
         touched = (config.R + config.a) * math.cos(q_reduced) * math.cos(reduced) \
             + (config.R - config.a) * math.sin(q_reduced) * math.sin(reduced)
         assert abs(touched - config.r) < 1e-13
+
+
+def _reference_chord_step(c, phi, prev=None):
+    # the chord step that tries both candidate offsets psi - phi +- acos(t/amp) and
+    # takes the one in (0, pi); returns the next angle and whether it took the - one
+    s, t = c.s, c.t
+    sin_phi, cos_phi = math.sin(phi), math.cos(phi)
+    re_part = 1.0 + s * (cos_phi - sin_phi) * (cos_phi + sin_phi)
+    im_part = -2.0 * s * sin_phi * cos_phi
+    amp = math.hypot(re_part, im_part)
+    if amp < t:
+        raise NoTangentError("no real chord: configuration outside validity")
+    base = math.atan2(im_part, re_part)
+    delta = math.acos(t / amp)
+    ahead, behind = base + delta, base - delta
+    ahead_forward = 0.0 < ahead < math.pi
+    if ahead_forward == (0.0 < behind < math.pi):
+        raise NoTangentError(f"forward branch ambiguous at phi={phi!r}")
+    nxt = phi + (ahead if ahead_forward else behind)
+    if prev is not None:
+        half = 0.5 * (nxt + prev)
+        res = math.sin(half) * cos_phi - c.rho * math.cos(half) * sin_phi
+        if abs(res) > 1e-10:
+            raise InvariantError(f"chord recursion residual {res:.3e}")
+    return nxt, not ahead_forward
+
+
+def _reference_trajectory(c, phi0, n):
+    # trajectory's phase-reduced walk, step for step, on the two-branch chord step
+    two_pi_hi, two_pi_lo = poncelet._TWO_PI_HI, poncelet._TWO_PI_LO
+    theta = float(phi0)
+    bound = theta + two_pi_hi
+    phis = [theta]
+    prev, turns, lo, hi = None, 0, 0.0, 0.0
+    for _ in range(n):
+        nxt, _ = _reference_chord_step(c, theta, prev)
+        prev = theta
+        if nxt >= bound:
+            nxt = nxt - two_pi_hi - two_pi_lo
+            prev = prev - two_pi_hi - two_pi_lo
+            turns += 1
+            lo, hi = turns * two_pi_lo, turns * two_pi_hi
+        phis.append(nxt + lo + hi)
+        theta = nxt
+    return phis
+
+
+class TestForwardBranch:
+    """The one-branch chord step against the two-branch reference it replaced."""
+
+    # the closing 5/2, 7/2 and 8/3 stars of the poncelet_walk benchmark, and a = 0
+    @pytest.mark.parametrize("n, m, t", [(5, 2, 0.3), (7, 2, 0.6), (8, 3, 0.35),
+                                         (None, None, 0.3)])
+    @pytest.mark.parametrize("R", [1e-12, 2.0, 1.7e308])
+    def test_walk_matches_two_branch_reference_bit_for_bit(self, n, m, t, R):
+        if n is None:
+            config = TwoCircleConfig(R, t * R, 0.0)
+        else:
+            config = search_closing_config(n, m, R, t * R)
+        for phi0 in (0.0, 0.37, -3.0, PHI0_MAX, -PHI0_MAX):
+            walk = trajectory(config, phi0, 2_000).phis
+            expected = _reference_trajectory(config, phi0, 2_000)
+            assert [x.hex() for x in walk.tolist()] == [x.hex() for x in expected], phi0
+
+    # |psi - phi| <= asin(s) < pi/2 and acos(t/amp) <= pi/2 keep the + offset below pi
+    @given(st.floats(1e-12, 1e12), st.floats(0.01, 0.99), st.floats(0.0, 0.999),
+           st.floats(-PHI0_MAX, PHI0_MAX))
+    @settings(max_examples=500)
+    def test_reference_never_takes_the_minus_offset(self, R, r_share, a_share, phi):
+        config = _nested(R, r_share, a_share)
+        nxt, behind = _reference_chord_step(config, phi)
+        assert not behind
+        assert chord_step(config, phi).hex() == nxt.hex()
+
+    def test_nan_angle_is_ambiguous(self):
+        with pytest.raises(NoTangentError, match="forward branch ambiguous at phi=nan"):
+            chord_step(TwoCircleConfig(1.0, 0.5, 0.2), math.nan)
+
+    def test_wrong_previous_vertex_fails_the_recursion(self):
+        config = TwoCircleConfig(1.0, 0.5, 0.2)
+        prev = -chord_step(config, -0.4)  # the true previous vertex, by reflection
+        chord_step(config, 0.4, prev)
+        with pytest.raises(InvariantError, match="chord recursion residual"):
+            chord_step(config, 0.4, prev + 1e-3)
+
+    def test_trajectory_steps_through_the_module(self, monkeypatch):
+        # the benchmark tracer rebinds poncelet.chord_step and counts one call a chord;
+        # a walk that bound the step elsewhere would hide its chords from it
+        config = search_closing_config(5, 2, 1.0, 0.3)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return chord_step(*args)
+
+        monkeypatch.setattr(poncelet, "chord_step", counting)
+        trajectory(config, 0.4, 37)
+        assert len(calls) == 37
 
 
 # (R, r, a) breaking a bound: nesting (twice), r > 0, R > 0, a >= 0
