@@ -2,7 +2,7 @@
 
 Everything here goes through a different computational route than the code
 it checks: quadrature instead of AGM, direct series summation, the spherical
-law of cosines, numpy's symmetric eigensolver, plain polynomial evaluation,
+law of cosines, a matrix for numpy's symmetric eigensolver, plain polynomial evaluation,
 root finding over whole frames, chord quantities from planar data.
 """
 import functools
@@ -123,10 +123,6 @@ def quad_F(phi, k):
     if periods:
         value += periods * _adaptive(math.pi, k, kc2)
     return value
-
-
-def quad_K(k):
-    return quad_F(math.pi / 2.0, k)
 
 
 def rotation_number(R, r, a):
@@ -253,12 +249,6 @@ def characteristic_matrix(c):
         [c.r / 2.0, 0.0, c.q / 2.0],
         [c.p / 2.0, c.q / 2.0, 1.0],
     ])
-
-
-def symmetric_eigenvalues(matrix):
-    import numpy as np
-
-    return np.linalg.eigvalsh(np.asarray(matrix, dtype=float))
 
 
 def characteristic_poly(t, omega):

@@ -69,11 +69,13 @@ class TwoCircleConfig:
                               f"{a + r!r} is too close to R = {R!r} (tangency) for the kernel")
         alpha = math.acos(t / (1.0 + s))
         rho = (1.0 - s) / (1.0 + s)
-        for name, value in (("s", s), ("t", t), ("k", k), ("alpha", alpha), ("rho", rho)):
-            object.__setattr__(self, name, value)
-        residual = modulus_residual(self, k, alpha)
+        # both closed forms of the complement: sqrt(1 - k^2 sin^2 alpha) = rho, cos alpha = t/(1+s)
+        residual = max(abs(math.sqrt(1.0 - (k * math.sin(alpha)) ** 2) - rho),
+                       abs(math.cos(alpha) - t / (1.0 + s)))
         if residual > 1e-12:
             raise InvariantError(f"modulus consistency broke: residual {residual!r} > 1e-12")
+        for name, value in (("s", s), ("t", t), ("k", k), ("alpha", alpha), ("rho", rho)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -87,12 +89,6 @@ class PonceletTrajectory:
 def modulus_of_config(c: TwoCircleConfig) -> tuple[float, float]:
     """Elliptic modulus k and chord amplitude alpha, held by the config since it was made."""
     return c.k, c.alpha
-
-
-def modulus_residual(c: TwoCircleConfig, k: float, alpha: float) -> float:
-    """Worse of |sqrt(1 - k^2 sin^2 alpha) - (1-s)/(1+s)| and |cos(alpha) - t/(1+s)|."""
-    return max(abs(math.sqrt(1.0 - (k * math.sin(alpha)) ** 2) - c.rho),
-               abs(math.cos(alpha) - c.t / (1.0 + c.s)))
 
 
 def chord_step(c: TwoCircleConfig, phi: float, prev: float | None = None) -> float:

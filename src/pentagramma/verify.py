@@ -171,7 +171,7 @@ def criterion_7(col: _Collector, rng) -> None:
 
 
 def criterion_8(col: _Collector, rng) -> None:
-    """Poncelet closure: the stated search, the porism, shadowing, modulus."""
+    """Poncelet closure: the stated search, the porism, shadowing."""
     try:
         config = poncelet.search_closing_config(5, 2, 1.0, 0.4)
         worst = abs(poncelet.closure_residual(config, 5, 2))
@@ -191,7 +191,7 @@ def criterion_8(col: _Collector, rng) -> None:
     col.add("poncelet.porism(5,2,R=1,r=0.3)", poncelet.porism_residual(
         config, 5, 2, rng.uniform(0.0, 2 * PI, size=5)), 1e-8)
 
-    worst_shadow = worst_consistency = 0.0
+    worst_shadow = 0.0
     for cfg in (poncelet.TwoCircleConfig(1.0, 0.5, 0.2),
                 poncelet.TwoCircleConfig(1.0, 0.4, 0.35),
                 config):
@@ -202,10 +202,7 @@ def criterion_8(col: _Collector, rng) -> None:
         u0 = elliptic_kernel.incomplete_F(phi0, k)
         worst_shadow = max(worst_shadow, *(
             abs(phi - elliptic_kernel.am(u0 + i * step, k)) for i, phi in enumerate(walk.phis)))
-        worst_consistency = max(worst_consistency,
-                                poncelet.modulus_residual(cfg, k, alpha))
     col.add("poncelet.shadowing", worst_shadow, 1e-9)
-    col.add("poncelet.modulus_consistency", worst_consistency, 1e-12)
 
 
 def criterion_9(col: _Collector, rng) -> None:

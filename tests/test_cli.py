@@ -55,6 +55,9 @@ class TestPentagram:
         roots = doc["outputs"]["roots"]
         assert (roots["G"], roots["Gp"], roots["Gpp"]) == pytest.approx(
             (-2.197, 1.069, 2.128), abs=2e-3)
+        # vertex orthogonality is build_sphere_vertices' own bound, raised above when made
+        assert set(doc["residuals"]) == {"cycle_law", "invariant_sum", "invariant_sqrt",
+                                         "root_products"}
 
     def test_near_critical_warning(self):
         code, output = run_cli(["pentagram", "--alpha", "1.618033",
@@ -156,6 +159,16 @@ class TestNapier:
         body = target.read_text()
         assert "<ellipse" in body and "<polyline" in body
 
+    def test_grid_refuses_svg(self, tmp_path, capsys):
+        # the grid writes CSV only; a drawing asked of it is refused, not dropped
+        target = tmp_path / "pentagon.svg"
+        with pytest.raises(SystemExit) as info:
+            run_cli(["napier", "--grid", "--svg", str(target)])
+        assert info.value.code == 2
+        message = capsys.readouterr().err
+        assert "argument --svg: not allowed with argument --grid" in message
+        assert not target.exists()
+
 
 class TestBridge:
     def test_from_omega(self):
@@ -204,6 +217,8 @@ class TestPoncelet:
         doc = json.loads(output)
         assert doc["status"] == "pass"
         assert "5/2" in doc["outputs"]["closure_residuals"]
+        # the modulus consistency is the config's own bound, raised above when made
+        assert doc["residuals"] == {}
 
     def test_concentric_closure_listed(self):
         code, output = run_cli(["poncelet", "--R", "1", "--r",
@@ -213,11 +228,13 @@ class TestPoncelet:
         doc = json.loads(output)
         assert abs(doc["outputs"]["closure_residuals"]["5/2"]) < 1e-15
 
-    def test_modulus_consistency_reports_both_forms(self):
-        # k = 0 zeroes the sqrt form, so the cosine form |cos(alpha) - r/R| is reported
-        argv = ["poncelet", "--R", "1", "--r", "0.5", "--a", "0", "--json"]
-        residual = json.loads(run_cli(argv)[1])["residuals"]["modulus_consistency"]["value"]
-        assert residual == abs(math.cos(math.acos(0.5)) - 0.5)
+    @pytest.mark.parametrize("a", ["0.1", "0"])
+    def test_solve_refuses_centre_distance(self, a, capsys):
+        # --solve searches the centre distance; a given --a is refused, not dropped
+        with pytest.raises(SystemExit) as info:
+            run_cli(["poncelet", "--R", "1", "--r", "0.3", "--a", a, "--solve", "5", "2"])
+        assert info.value.code == 2
+        assert "argument --solve: not allowed with argument --a" in capsys.readouterr().err
 
     def test_solve_star(self):
         code, output = run_cli(["poncelet", "--R", "1", "--r", "0.3",

@@ -10,8 +10,7 @@ from pentagramma.cone_spectrum import (OMEGA_CRITICAL, OMEGA_TOP, ConeQuadric, S
                                        solve_characteristic)
 from pentagramma.elliptic_kernel import complete_K, jacobi_triple
 from pentagramma.errors import DegenerateError, DomainError, SubcriticalError
-from pentagramma.oracles import (characteristic_matrix, characteristic_poly,
-                                 symmetric_eigenvalues)
+from pentagramma.oracles import characteristic_matrix, characteristic_poly
 from pentagramma.pentagram_algebra import GOLDEN, complete_from_two
 
 
@@ -44,18 +43,18 @@ class TestCharacteristicMatrix:
         assert np.allclose(m, m.T)
 
     def test_zero_quadric(self):
-        eig = symmetric_eigenvalues(characteristic_matrix(ConeQuadric(0, 0, 0)))
+        eig = np.linalg.eigvalsh(characteristic_matrix(ConeQuadric(0, 0, 0)))
         assert eig == pytest.approx([0.0, 0.0, 1.0], abs=1e-15)
 
     def test_gauss_eigenvalues(self):
-        eig = symmetric_eigenvalues(characteristic_matrix(cone_coefficients(9.0, 2.0)))
+        eig = np.linalg.eigvalsh(characteristic_matrix(cone_coefficients(9.0, 2.0)))
         assert eig == pytest.approx([-2.197, 1.069, 2.128], abs=2e-3)
 
     def test_eigenvalues_match_cubic_roots(self, rng):
         for _ in range(100):
             alpha, gamma = rng.uniform(0.2, 10.0, size=2)
             cycle = complete_from_two(float(alpha), float(gamma))
-            eig = symmetric_eigenvalues(
+            eig = np.linalg.eigvalsh(
                 characteristic_matrix(cone_coefficients(float(alpha), float(gamma))))
             s = solve_characteristic(cycle.omega())
             assert eig == pytest.approx([s.G, s.Gp, s.Gpp], abs=1e-8)

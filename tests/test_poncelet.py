@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import types
 
 import mpmath
 import numpy as np
@@ -13,8 +14,7 @@ from pentagramma.elliptic_kernel import MAX_MODULUS, am, incomplete_F
 from pentagramma.errors import (DomainError, GeometryError, InvariantError, NoSolutionError,
                                 NoTangentError)
 from pentagramma.poncelet import (PHI0_MAX, TwoCircleConfig, chord_step, closure_residual,
-                                  modulus_of_config, modulus_residual,
-                                  search_closing_config, trajectory)
+                                  modulus_of_config, search_closing_config, trajectory)
 
 
 class TestValidateConfig:
@@ -88,10 +88,8 @@ class TestModulus:
         # k reads a/R and r/R alone; (R + a)^2 overflows at R = 1e200 and underflows at
         # 1e-200, and R + a itself overflows at 1.7e308
         unit, _ = modulus_of_config(TwoCircleConfig(1.0, 0.3, 0.2))
-        config = TwoCircleConfig(R, 0.3 * R, 0.2 * R)
-        k, alpha = modulus_of_config(config)
+        k, _ = modulus_of_config(TwoCircleConfig(R, 0.3 * R, 0.2 * R))
         assert _ulps(k, unit) <= 1
-        assert modulus_residual(config, k, alpha) <= 1e-12
 
     # nested pairs within rounding of tangency, refused when made: k^2 rounds to 1 for
     # the first, and k = 0.999999999999934 is past the kernel's bound for the second
@@ -104,6 +102,34 @@ class TestModulus:
             TwoCircleConfig(1.0, r, a)
         with pytest.raises(DomainError, match=named):
             dataclasses.replace(TwoCircleConfig(1.0, 0.5, 0.2), r=r, a=a)
+
+    # the config checks k and alpha against both closed forms of the complement when made;
+    # a broken libm function drives one form past 1e-12, and the message names its residual
+    def test_broken_sqrt_form_is_a_config_fault(self, monkeypatch):
+        def bad_sin(x):
+            return math.sin(x) * (1.0 + 1e-9)
+
+        s, t = 0.2, 0.5
+        k = math.sqrt(4.0 * s / ((1.0 + s) ** 2 - t ** 2))
+        expected = abs(math.sqrt(1.0 - (k * bad_sin(math.acos(t / (1.0 + s)))) ** 2)
+                       - (1.0 - s) / (1.0 + s))
+        monkeypatch.setattr(poncelet, "math", types.SimpleNamespace(**{**vars(math),
+                                                                       "sin": bad_sin}))
+        with pytest.raises(InvariantError, match=re.escape(
+                f"modulus consistency broke: residual {expected!r} > 1e-12")):
+            TwoCircleConfig(1.0, t, s)
+
+    def test_broken_cosine_form_is_a_config_fault(self, monkeypatch):
+        # k = 0 zeroes the sqrt form, so the residual is |cos(alpha) - r/R| alone
+        def bad_cos(x):
+            return math.cos(x) + 1e-9
+
+        expected = abs(bad_cos(math.acos(0.5)) - 0.5)
+        monkeypatch.setattr(poncelet, "math", types.SimpleNamespace(**{**vars(math),
+                                                                       "cos": bad_cos}))
+        with pytest.raises(InvariantError, match=re.escape(
+                f"modulus consistency broke: residual {expected!r} > 1e-12")):
+            TwoCircleConfig(1.0, 0.5, 0.0)
 
 
 class TestChordStep:
@@ -368,7 +394,7 @@ def test_power_of_two_scale_is_bit_identical(t, s, j):
     def results(R):
         config = TwoCircleConfig(R, t * R, s * R)
         k, alpha = modulus_of_config(config)
-        return (k, alpha, modulus_residual(config, k, alpha), closure_residual(config, 5, 2),
+        return (k, alpha, closure_residual(config, 5, 2),
                 trajectory(config, 0.37, 200).phis.tobytes())
 
     assert results(2.0 ** j) == results(1.0)
