@@ -22,10 +22,9 @@ from .gauss_projection import (PlanarPentagon, confocal_residual, eccentric_anom
 from .napier_uniformization import (PentagonFrame, alpha_sequence, beta_sequence,
                                     frame_vectors, k_of_omega, omega_of_k)
 from .pentagram_algebra import (GOLDEN, AlphaCycle, NapierParts, SpherePentagon,
-                                alphas_from_sides, build_sphere_vertices,
-                                complete_from_two, gauss_reflect, napier_rotate,
-                                pentagon_parts, pentagram_invariants,
-                                sides_from_alphas, verify_napier)
+                                build_sphere_vertices, complete_from_two,
+                                gauss_reflect, napier_rotate, pentagon_parts,
+                                pentagram_invariants, sides_from_alphas, verify_napier)
 from .poncelet import (PonceletTrajectory, TwoCircleConfig, chord_step,
                        closure_residual, modulus_of_config, porism_residual,
                        search_closing_config, trajectory)

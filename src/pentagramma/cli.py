@@ -391,18 +391,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pentagram)
 
     p = sub.add_parser("napier", help="elliptic 5-division pentagon frame")
-    p.add_argument("--k", type=float, default=0.0, help="elliptic modulus")
-    p.add_argument("--u", type=float, default=0.0, help="frame parameter")
-    # the grid writes CSV only, so --svg (one frame's drawing) is refused with it
-    drawn = p.add_mutually_exclusive_group()
-    drawn.add_argument("--grid", action="store_true",
-                       help="sweep the (k, u) grid and emit CSV")
+    p.add_argument("--k", type=float, help="elliptic modulus (default 0)")
+    p.add_argument("--u", type=float, help="frame parameter (default 0)")
+    p.add_argument("--grid", action="store_true", help="sweep the (k, u) grid and emit CSV")
     p.add_argument("--samples", type=_nonnegative_int, default=20,
                    help="u samples per k in grid mode")
     p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--csv", metavar="FILE", help="grid CSV destination")
-    drawn.add_argument("--svg", metavar="FILE",
-                       help="write the projected pentagon drawing")
+    p.add_argument("--svg", metavar="FILE", help="write the projected pentagon drawing")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_napier)
 
@@ -422,10 +418,9 @@ def build_parser() -> argparse.ArgumentParser:
     distance.add_argument("--a", type=float, default=0.0, help="centre distance")
     distance.add_argument("--solve", nargs=2, type=int, metavar=("N", "M"),
                           help="search the centre distance closing after N chords, M turns")
-    p.add_argument("--steps", type=int, default=30,
-                   help="chords drawn for --svg/--csv")
-    p.add_argument("--phi0", type=float, default=0.0, help="starting half-angle")
-    p.add_argument("--seed", type=_nonnegative_int, default=0)
+    p.add_argument("--steps", type=int, help="chords drawn for --svg/--csv (default 30)")
+    p.add_argument("--phi0", type=float, help="starting half-angle (default 0)")
+    p.add_argument("--seed", type=_nonnegative_int, help="porism draws of --solve (default 0)")
     p.add_argument("--svg", metavar="FILE")
     p.add_argument("--csv", metavar="FILE")
     p.add_argument("--json", action="store_true")
@@ -439,6 +434,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_all)
 
     return parser
+
+
+# options that one mode reads, with their defaults; None until given, so another mode refuses them
+_MODE_OPTIONS = {"napier": {"k": 0.0, "u": 0.0, "svg": None, "csv": None},
+                 "poncelet": {"seed": 0, "steps": 30, "phi0": 0.0}}
+
+
+def _refuse_dropped(args, error) -> None:
+    """A usage error for a given option that the chosen mode would drop; else its default."""
+    if args.subcommand == "napier":
+        rules = (dict.fromkeys(("k", "u", "svg"), "with argument --grid") if args.grid
+                 else {"csv": "without argument --grid"})
+    else:
+        rules = {} if args.solve else {"seed": "without argument --solve"}
+        if not (args.svg or args.csv):
+            rules.update(dict.fromkeys(("steps", "phi0"), "without argument --svg or --csv"))
+    for dest, default in _MODE_OPTIONS[args.subcommand].items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif dest in rules:
+            error(f"argument --{dest}: not allowed {rules[dest]}")
 
 
 def _report_error(args, out, exc: PentagrammaError | OSError, label: str, code: int) -> int:
@@ -455,7 +471,10 @@ def _report_error(args, out, exc: PentagrammaError | OSError, label: str, code: 
 
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.subcommand in _MODE_OPTIONS:
+        _refuse_dropped(args, parser.error)
     try:
         args.tol = _tol_override(args)
         report = args.func(args, out)

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegenerateError, DomainError, InvariantError, SubcriticalError
-from .pentagram_algebra import GOLDEN, complete_from_two
+from .pentagram_algebra import GOLDEN
 
 OMEGA_CRITICAL = GOLDEN ** 5  # = (11 + 5 sqrt 5)/2, the least omega: the regular pentagram
 
@@ -66,17 +66,12 @@ class SpectralTriple:
 
 
 def cone_coefficients(alpha: float, gamma: float) -> ConeQuadric:
-    """(p, q, r) = (-sqrt(alpha), -sqrt(gamma), -(1+alpha+gamma)/sqrt(alpha gamma))."""
-    if alpha <= 0.0 or gamma <= 0.0:
-        raise DomainError("cone seeds must be positive")
+    """(p, q, r) of the cone, for alpha, gamma > 0 whose product is a normal finite double."""
+    if not (alpha > 0.0 and gamma > 0.0 and 2.0 ** -1022 <= alpha * gamma < math.inf):
+        raise DomainError(f"cone seeds ({alpha!r}, {gamma!r}) need > 0 and a normal product")
     p = -math.sqrt(alpha)
     q = -math.sqrt(gamma)
     r = -(1.0 + alpha + gamma) / math.sqrt(alpha * gamma)
-    # same quantity through the completed cycle: r = -beta sqrt(alpha gamma)
-    beta = complete_from_two(alpha, gamma).alphas[1]
-    alt = -beta * math.sqrt(alpha * gamma)
-    if abs(r - alt) > 1e-12 * abs(r):
-        raise InvariantError(f"cone coefficient cross-check failed: {r!r} vs {alt!r}")
     return ConeQuadric(p=p, q=q, r=r)
 
 

@@ -91,17 +91,6 @@ class AlphaCycle:
         return prod
 
 
-def alphas_from_sides(p) -> AlphaCycle:
-    """tan^2 of each side; sides must lie strictly inside (0, pi/2)."""
-    p = tuple(p)
-    if len(p) != 5:
-        raise DomainError("expected five side angles")
-    for s in p:
-        if not 0.0 < s < 0.5 * math.pi:
-            raise DomainError(f"side {s!r} outside (0, pi/2)")
-    return AlphaCycle(tuple(math.tan(s) ** 2 for s in p))
-
-
 def sides_from_alphas(c: AlphaCycle) -> tuple[float, ...]:
     """Inverse view: p_i = arctan sqrt(alpha_i)."""
     return tuple(math.atan(math.sqrt(a)) for a in c.alphas)
@@ -139,9 +128,7 @@ def pentagon_parts(sides, i: int) -> NapierParts:
     Entry pattern (complements of sides): indices i+1, i+4, i+2, i+5, i+3
     in one-based labels; successive i are related by the Gaussian reflection.
     """
-    s = tuple(sides)
-    half = 0.5 * math.pi
-    return NapierParts(tuple(half - s[(i + d) % 5] for d in (1, 4, 2, 0, 3)))
+    return NapierParts(tuple(0.5 * math.pi - sides[(i + d) % 5] for d in (1, 4, 2, 0, 3)))
 
 
 @dataclass(frozen=True)

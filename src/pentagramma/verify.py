@@ -226,24 +226,23 @@ def criterion_9(col: _Collector, rng) -> None:
 
 
 def criterion_10(col: _Collector, rng) -> None:
-    """Napier rules on oracle triangles; exactness of the cyclic maps."""
-    worst = 0.0
-    for _ in range(100):
-        legs = rng.uniform(0.2, 1.35, size=2)
-        parts, *_ = oracles.right_triangle(float(legs[0]), float(legs[1]))
-        rule_one, rule_two = pentagram_algebra.verify_napier(parts)
-        worst = max(worst, max(abs(r) for r in rule_one + rule_two))
+    """Napier's rules on oracle triangles and on the paper's five triangles of pentagons."""
+    worst = max(abs(r) for legs in rng.uniform(0.2, 1.35, size=(100, 2)).tolist()
+                for rule in pentagram_algebra.verify_napier(oracles.right_triangle(*legs)[0])
+                for r in rule)
     col.add("napier.rules", worst, 1e-11)
 
-    parts, *_ = oracles.right_triangle(0.7, 1.1)
-    rotated = parts
-    for _ in range(5):
-        rotated = pentagram_algebra.napier_rotate(rotated)
-    col.add("napier.rotation_order", 0.0 if rotated == parts else math.inf, 0.0)
-    col.add("napier.reflection_is_square",
-            0.0 if pentagram_algebra.gauss_reflect(parts)
-            == pentagram_algebra.napier_rotate(pentagram_algebra.napier_rotate(parts))
-            else math.inf, 0.0)
+    # (alpha, gamma) log-uniform on [1e-2, 1e2]; tau_{i+1} = g(tau_i) and tau_6 = tau_1
+    worst, reflected = 0.0, True
+    for seeds in (10.0 ** rng.uniform(-2.0, 2.0, size=(5, 2))).tolist():
+        sides = pentagram_algebra.sides_from_alphas(pentagram_algebra.complete_from_two(*seeds))
+        taus = [pentagram_algebra.pentagon_parts(sides, i) for i in range(5)]
+        for tau, following in zip(taus, taus[1:] + taus[:1]):
+            rule_one, rule_two = pentagram_algebra.verify_napier(tau)
+            worst = max(worst, *map(abs, rule_one + rule_two))
+            reflected = reflected and pentagram_algebra.gauss_reflect(tau) == following
+    col.add("napier.pentagon_triangles", worst, 1e-11)
+    col.add("napier.gauss_reflection", 0.0 if reflected else math.inf, 0.0)
 
 
 CRITERIA = {
@@ -256,7 +255,7 @@ CRITERIA = {
     7: ("planar projection identities", criterion_7),
     8: ("Poncelet closure and porism", criterion_8),
     9: ("dilogarithm identities and pentagon sum", criterion_9),
-    10: ("Napier rules and cyclic maps", criterion_10),
+    10: ("Napier rules on oracle and pentagon triangles", criterion_10),
 }
 
 

@@ -20,7 +20,7 @@ import mpmath
 import pytest
 
 from battery_outcomes import CRITERION_8_FAILING
-from pentagramma import verify
+from pentagramma import pentagram_algebra, verify
 from pentagramma.cli import main
 from pentagramma.oracles import rotation_number
 
@@ -72,6 +72,26 @@ def test_criterion(number, capsys):
         _assert_no_closing_distance(R=1.0, r=0.4)
         # the oracle does see a closing distance where the battery finds one
         assert rotation_number(1.0, 0.3, 0.0) > 2 / 5
+
+
+def test_criterion_10_sees_wrong_triangles(monkeypatch):
+    # the last two parts swapped: no longer the paper's tau_i, and Napier's rules fail
+    def swapped(sides, i):
+        return pentagram_algebra.NapierParts(
+            tuple(math.pi / 2 - sides[(i + d) % 5] for d in (1, 4, 2, 3, 0)))
+
+    monkeypatch.setattr(pentagram_algebra, "pentagon_parts", swapped)
+    checks = {c.name: c for c in verify.run_criterion(10, seed=0)}
+    assert not checks["napier.pentagon_triangles"].passed
+    assert checks["napier.rules"].passed
+
+
+def test_criterion_10_sees_a_wrong_reflection(monkeypatch):
+    # one rotation in place of two does not carry tau_i to tau_{i+1}
+    monkeypatch.setattr(pentagram_algebra, "gauss_reflect", pentagram_algebra.napier_rotate)
+    checks = {c.name: c for c in verify.run_criterion(10, seed=0)}
+    assert checks["napier.gauss_reflection"].residual == math.inf
+    assert checks["napier.pentagon_triangles"].passed
 
 
 def test_rotation_number_against_mpmath():

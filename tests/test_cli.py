@@ -11,7 +11,8 @@ import pytest
 
 import pentagramma
 from battery_outcomes import CRITERION_8_FAILING
-from pentagramma import cli, elliptic_kernel, errors, napier_uniformization, oracles, verify
+from pentagramma import (cli, elliptic_kernel, errors, napier_uniformization, oracles,
+                         pentagram_algebra, verify)
 from pentagramma.cli import main
 
 
@@ -354,6 +355,17 @@ def scalar_draw_criterion_4(col, rng):
     col.add("kernel.quadrature_oracle", worst_oracle, 1e-11)
 
 
+def per_iteration_criterion_10(col, rng):
+    """Criterion 10's oracle legs as it drew them, one rng.uniform call per triangle: the reference."""
+    worst = 0.0
+    for _ in range(100):
+        legs = rng.uniform(0.2, 1.35, size=2)
+        parts, *_ = oracles.right_triangle(float(legs[0]), float(legs[1]))
+        rule_one, rule_two = pentagram_algebra.verify_napier(parts)
+        worst = max(worst, max(abs(r) for r in rule_one + rule_two))
+    col.add("napier.rules", worst, 1e-11)
+
+
 class TestVerifyAll:
     def test_default_run_reports_known_defect(self):
         # the stated 5/2 search input has no closing distance (inner circle
@@ -387,6 +399,17 @@ class TestVerifyAll:
         monkeypatch.setitem(verify.CRITERIA, 4, (description, scalar_draw_criterion_4))
         _, scalar = run_cli(["verify-all", "--seed", str(seed), "--json"])
         assert block == scalar
+
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_block_legs_match_per_iteration_legs(self, seed, monkeypatch):
+        # criterion 10 takes its 100 pairs of legs as one rng.uniform block; the
+        # napier.rules record is byte for byte the one the per-triangle draws gave
+        monkeypatch.setattr(verify, "CRITERIA", {10: verify.CRITERIA[10]})
+        _, block = run_cli(["verify-all", "--seed", str(seed), "--json"])
+        monkeypatch.setitem(verify.CRITERIA, 10, ("reference", per_iteration_criterion_10))
+        _, reference = run_cli(["verify-all", "--seed", str(seed), "--json"])
+        record = re.compile(r'"10\.napier\.rules": \{[^}]*\}')
+        assert record.search(block).group() == record.search(reference).group()
 
     def test_env_tolerance_override(self, monkeypatch):
         monkeypatch.setenv("PENTAGRAMMA_TOL", "1e-16")
@@ -493,6 +516,44 @@ def test_exit_code_table(error, monkeypatch):
                                   "inputs": {"omega": 20.0},
                                   "message": "raised for the exit-code table",
                                   "status": "error"}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["napier", "--k", "0.5", "--u", "0.3", "--csv", "F.csv"],
+     "argument --csv: not allowed without argument --grid"),
+    (["napier", "--grid", "--k", "0.7"], "argument --k: not allowed with argument --grid"),
+    (["napier", "--grid", "--u", "0.3", "--csv", "F.csv"],
+     "argument --u: not allowed with argument --grid"),
+    (["poncelet", "--R", "1", "--r", "0.5", "--a", "0.2", "--seed", "3"],
+     "argument --seed: not allowed without argument --solve"),
+    (["poncelet", "--R", "1", "--r", "0.3", "--solve", "5", "2", "--steps", "10"],
+     "argument --steps: not allowed without argument --svg or --csv"),
+    (["poncelet", "--R", "1", "--r", "0.5", "--a", "0.2", "--phi0", "-3"],
+     "argument --phi0: not allowed without argument --svg or --csv")],
+    ids=["napier-csv", "napier-grid-k", "napier-grid-u", "poncelet-seed", "poncelet-steps",
+         "poncelet-phi0"])
+def test_dropped_option_is_refused(argv, message, tmp_path, monkeypatch, capsys):
+    # an option that the chosen mode would not read is a usage error: exit 2,
+    # both options named, and no JSON document and no file
+    monkeypatch.chdir(tmp_path)
+    buffer = io.StringIO()
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--json"], out=buffer)
+    assert info.value.code == 2
+    assert message in capsys.readouterr().err
+    assert buffer.getvalue() == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_modes_read_their_options(tmp_path, monkeypatch):
+    # each option with the mode that reads it, and the defaults when it is not given
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["napier", "--grid", "--samples", "1", "--seed", "2", "--json"])[0] == 0
+    doc = json.loads(run_cli(["napier", "--json"])[1])
+    assert doc["inputs"] == {"k": 0.0, "u": 0.0}
+    code, _ = run_cli(["poncelet", "--R", "1", "--r", "0.3", "--solve", "5", "2",
+                       "--seed", "4", "--steps", "3", "--phi0", "-3", "--csv", "w.csv"])
+    assert code == 0 and len((tmp_path / "w.csv").read_text().splitlines()) == 5
 
 
 @pytest.mark.parametrize("argv, code, error, inputs", [

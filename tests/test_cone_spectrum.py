@@ -31,9 +31,23 @@ class TestConeCoefficients:
         q = cone_coefficients(1.0, 1.0)
         assert (q.p, q.q, q.r) == pytest.approx((-1.0, -1.0, -3.0), abs=1e-15)
 
+    def test_small_seeds_need_no_cycle(self):
+        # beta = 1.00002e10 lies beyond ALPHA_MAX, yet the cone is well defined
+        q = cone_coefficients(1e-5, 1e-5)
+        assert q.p == q.q == -math.sqrt(1e-5)
+        assert q.r == pytest.approx(-100002.0, rel=1e-15)
+        assert q.r == -(1.0 + 1e-5 + 1e-5) / math.sqrt(1e-5 * 1e-5)
+
     def test_nonpositive_rejected(self):
         with pytest.raises(DomainError):
             cone_coefficients(0.0, 1.0)
+
+    @pytest.mark.parametrize("seeds", [(1.0, -2.0), (math.nan, 1.0), (1.0, math.inf),
+                                       (1e-200, 1e-200), (1e200, 1e200)])
+    def test_outside_domain_named(self, seeds):
+        # alpha gamma underflowing to 0 divided by zero; overflowing to inf gave r = -0.0
+        with pytest.raises(DomainError, match="need > 0 and a normal product"):
+            cone_coefficients(*seeds)
 
 
 class TestCharacteristicMatrix:
