@@ -7,7 +7,7 @@ and the Rogers dilogarithm five-term identity that the pentagon realises
 geometrically.
 """
 
-from .cone_spectrum import (ConeQuadric, SpectralTriple, cone_coefficients,
+from .cone_spectrum import (GOLDEN, ConeQuadric, SpectralTriple, cone_coefficients,
                             modulus_from_spectrum, solve_characteristic)
 from .dilogarithm import li2, pentagon_five_term, rogers_L, spence_residual
 from .elliptic_kernel import (JacobiTriple, am, complete_K, half_angle_tan,
@@ -21,7 +21,7 @@ from .gauss_projection import (PlanarPentagon, confocal_residual, eccentric_anom
                                recover_from_pm1, recover_from_pm2)
 from .napier_uniformization import (PentagonFrame, alpha_sequence, beta_sequence,
                                     frame_vectors, k_of_omega, omega_of_k)
-from .pentagram_algebra import (GOLDEN, AlphaCycle, NapierParts, SpherePentagon,
+from .pentagram_algebra import (AlphaCycle, NapierParts, SpherePentagon,
                                 build_sphere_vertices, complete_from_two,
                                 gauss_reflect, napier_rotate, pentagon_parts,
                                 pentagram_invariants, sides_from_alphas, verify_napier)

@@ -33,6 +33,8 @@ from .verify import Check
 
 _NEAR_CRITICAL_WARN = 1e-4
 _SVG_SIZE = 480  # pixels per side
+# the porism's start half-angles: the first vertices 72 degrees apart on the outer circle
+_PORISM_STARTS = tuple(j * math.pi / 5 for j in range(5))
 
 _EXIT_CHECK_FAIL = 1
 _EXIT_DOMAIN = 2
@@ -307,12 +309,9 @@ def cmd_bridge(args, out) -> RunReport:
 
 def cmd_poncelet(args, out) -> RunReport:
     if args.solve:
-        import numpy as np
-
         n, m = args.solve
         config = search_closing_config(n, m, args.R, args.r)
-        rng = np.random.default_rng(args.seed)
-        porism = porism_residual(config, n, m, rng.uniform(0.0, 2.0 * math.pi, size=5))
+        porism = porism_residual(config, n, m, _PORISM_STARTS)
         k, alpha = modulus_of_config(config)
         report = RunReport(
             command="poncelet",
@@ -394,9 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=float, help="elliptic modulus (default 0)")
     p.add_argument("--u", type=float, help="frame parameter (default 0)")
     p.add_argument("--grid", action="store_true", help="sweep the (k, u) grid and emit CSV")
-    p.add_argument("--samples", type=_nonnegative_int, default=20,
-                   help="u samples per k in grid mode")
-    p.add_argument("--seed", type=_nonnegative_int, default=0)
+    p.add_argument("--samples", type=_nonnegative_int,
+                   help="u samples per k in grid mode (default 20)")
+    p.add_argument("--seed", type=_nonnegative_int, help="grid draws (default 0)")
     p.add_argument("--csv", metavar="FILE", help="grid CSV destination")
     p.add_argument("--svg", metavar="FILE", help="write the projected pentagon drawing")
     p.add_argument("--json", action="store_true")
@@ -413,14 +412,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("poncelet", help="chord polygons between nested circles")
     p.add_argument("--R", type=float, required=True, help="outer radius")
     p.add_argument("--r", type=float, required=True, help="inner radius")
-    # --solve searches the centre distance, so a given --a is refused with it
-    distance = p.add_mutually_exclusive_group()
-    distance.add_argument("--a", type=float, default=0.0, help="centre distance")
-    distance.add_argument("--solve", nargs=2, type=int, metavar=("N", "M"),
-                          help="search the centre distance closing after N chords, M turns")
+    p.add_argument("--a", type=float, help="centre distance (default 0)")
+    p.add_argument("--solve", nargs=2, type=int, metavar=("N", "M"),
+                   help="search the centre distance closing after N chords, M turns")
     p.add_argument("--steps", type=int, help="chords drawn for --svg/--csv (default 30)")
     p.add_argument("--phi0", type=float, help="starting half-angle (default 0)")
-    p.add_argument("--seed", type=_nonnegative_int, help="porism draws of --solve (default 0)")
     p.add_argument("--svg", metavar="FILE")
     p.add_argument("--csv", metavar="FILE")
     p.add_argument("--json", action="store_true")
@@ -436,25 +432,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# options that one mode reads, with their defaults; None until given, so another mode refuses them
-_MODE_OPTIONS = {"napier": {"k": 0.0, "u": 0.0, "svg": None, "csv": None},
-                 "poncelet": {"seed": 0, "steps": 30, "phi0": 0.0}}
+# per subcommand, rows of (switches, wanted, {option: default}): the mode reads the
+# options only when one of the switches being given is wanted; each option is None
+# until given, so a given one that the mode would drop is refused
+_MODE_OPTIONS = {"napier": ((("grid",), False, {"k": 0.0, "u": 0.0, "svg": None}),
+                            (("grid",), True, {"csv": None, "seed": 0, "samples": 20})),
+                 "poncelet": ((("solve",), False, {"a": 0.0}),
+                              (("svg", "csv"), True, {"steps": 30, "phi0": 0.0}))}
 
 
 def _refuse_dropped(args, error) -> None:
     """A usage error for a given option that the chosen mode would drop; else its default."""
-    if args.subcommand == "napier":
-        rules = (dict.fromkeys(("k", "u", "svg"), "with argument --grid") if args.grid
-                 else {"csv": "without argument --grid"})
-    else:
-        rules = {} if args.solve else {"seed": "without argument --solve"}
-        if not (args.svg or args.csv):
-            rules.update(dict.fromkeys(("steps", "phi0"), "without argument --svg or --csv"))
-    for dest, default in _MODE_OPTIONS[args.subcommand].items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, default)
-        elif dest in rules:
-            error(f"argument --{dest}: not allowed {rules[dest]}")
+    for switches, wanted, options in _MODE_OPTIONS[args.subcommand]:
+        read = any(getattr(args, s) for s in switches) == wanted
+        for dest, default in options.items():
+            if getattr(args, dest) is None:
+                setattr(args, dest, default)
+            elif not read:
+                error(f"argument --{dest}: not allowed {'without' if wanted else 'with'} "
+                      f"argument {' or '.join(f'--{s}' for s in switches)}")
 
 
 def _report_error(args, out, exc: PentagrammaError | OSError, label: str, code: int) -> int:
@@ -478,6 +474,11 @@ def main(argv=None, out=None) -> int:
     try:
         args.tol = _tol_override(args)
         report = args.func(args, out)
+        if report is not None:
+            if args.func is not cmd_verify_all:  # verify-all applies it per criterion
+                report.checks = _apply_override(report.checks, args.tol)
+            out.write((report_json(report) if args.json else report_text(report)) + "\n")
+        out.flush()
     except (DomainError, GeometryError) as exc:
         return _report_error(args, out, exc, "domain error", _EXIT_DOMAIN)
     except SubcriticalError as exc:
@@ -486,14 +487,16 @@ def main(argv=None, out=None) -> int:
         return _report_error(args, out, exc, "search failed", _EXIT_SEARCH)
     except PentagrammaError as exc:
         return _report_error(args, out, exc, "invariant violation", _EXIT_INVARIANT)
+    except BrokenPipeError as exc:  # a closed stdout takes no error document either
+        if out is sys.stdout:  # and the interpreter's last flush goes nowhere
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, out.fileno())
+            os.close(devnull)
+        print(f"cannot write: {exc}", file=sys.stderr)
+        return _EXIT_DOMAIN
     except OSError as exc:  # an unwritable --csv or --svg path
         return _report_error(args, out, exc, "cannot write", _EXIT_DOMAIN)
-    if report is None:
-        return 0
-    if args.func is not cmd_verify_all:  # verify-all applies it per criterion
-        report.checks = _apply_override(report.checks, args.tol)
-    out.write((report_json(report) if args.json else report_text(report)) + "\n")
-    return 0 if report.passed else _EXIT_CHECK_FAIL
+    return 0 if report is None or report.passed else _EXIT_CHECK_FAIL
 
 
 def console_entry() -> None:

@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegenerateError, DomainError, InvariantError, SubcriticalError
-from .pentagram_algebra import GOLDEN
 
+GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 OMEGA_CRITICAL = GOLDEN ** 5  # = (11 + 5 sqrt 5)/2, the least omega: the regular pentagram
 
 # below this distance from the critical point the double root is returned

@@ -10,9 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .cone_spectrum import cone_coefficients
 from .errors import DomainError, InvariantError
-
-GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 ALPHA_MIN = 1e-8
 ALPHA_MAX = 1e8
@@ -170,9 +169,6 @@ def build_sphere_vertices(c: AlphaCycle) -> SpherePentagon:
         raise InvariantError(
             f"vertex orthogonality residual {worst:.3e} exceeds {GEOM_TOL:.1e}; "
             "the alpha cycle is not a pentagon")
-
-    # cone_spectrum imports this module at load time, so import it here
-    from .cone_spectrum import cone_coefficients
 
     # membership in the quadric cone z^2 + p xz + q yz + r xy = 0 built from
     # the first and third cycle entries

@@ -262,9 +262,7 @@ def search_closing_config(n: int, m: int, R: float, r: float) -> TwoCircleConfig
             f"pair of circles; ({n}, {n - m}) is the same polygon walked backwards")
     # on the unit outer circle in s = a/R, Brent's absolute tolerance holds at every scale
     t = concentric.t
-    upper = min(t, 1.0 - t) - 1e-9
-    if upper <= 0.0:
-        raise NoSolutionError("no admissible centre-distance bracket")
+    upper = max(min(t, 1.0 - t) - 1e-9, 0.0)
 
     def res(s: float) -> float:
         return closure_residual(TwoCircleConfig(R=1.0, r=t, a=s), n, m)

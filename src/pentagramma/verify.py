@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 from . import (cone_spectrum, dilogarithm, elliptic_kernel, gauss_projection,
                napier_uniformization, oracles, pentagram_algebra, poncelet)
+from .cone_spectrum import GOLDEN
 from .errors import NoSolutionError
-from .pentagram_algebra import GOLDEN
 
 PI = math.pi
 
@@ -60,13 +60,15 @@ def criterion_2(col: _Collector, rng) -> None:
 
 
 def criterion_3(col: _Collector, rng) -> None:
-    """Critical omega and the double root at the regular pentagram."""
+    """Critical omega, and the cubic's simple root G and double root G' = G'' there."""
     w0 = cone_spectrum.OMEGA_CRITICAL
     col.add("critical.value", abs(w0 - 11.0901699), 1e-7)
     s = cone_spectrum.solve_characteristic(w0)
-    col.add("critical.G", abs(s.G + GOLDEN), 1e-9)
-    col.add("critical.double", max(abs(s.Gp - GOLDEN ** 2 / 2),
-                                   abs(s.Gpp - GOLDEN ** 2 / 2)), 1e-9)
+    col.add("critical.G", abs(oracles.characteristic_poly(s.G, w0)), 1e-9)
+    # a double root is a root of the cubic and of its derivative 12t^2 - 8t + 1 - omega
+    col.add("critical.double", max(max(abs(oracles.characteristic_poly(t, w0)),
+                                       abs((12.0 * t - 8.0) * t + (1.0 - w0)))
+                                   for t in (s.Gp, s.Gpp)), 1e-9)
 
 
 def criterion_4(col: _Collector, rng) -> None:

@@ -12,7 +12,7 @@ import pytest
 import pentagramma
 from battery_outcomes import CRITERION_8_FAILING
 from pentagramma import (cli, elliptic_kernel, errors, napier_uniformization, oracles,
-                         pentagram_algebra, verify)
+                         pentagram_algebra, poncelet, verify)
 from pentagramma.cli import main
 
 
@@ -235,7 +235,7 @@ class TestPoncelet:
         with pytest.raises(SystemExit) as info:
             run_cli(["poncelet", "--R", "1", "--r", "0.3", "--a", a, "--solve", "5", "2"])
         assert info.value.code == 2
-        assert "argument --solve: not allowed with argument --a" in capsys.readouterr().err
+        assert "argument --a: not allowed with argument --solve" in capsys.readouterr().err
 
     def test_solve_star(self):
         code, output = run_cli(["poncelet", "--R", "1", "--r", "0.3",
@@ -244,6 +244,11 @@ class TestPoncelet:
         doc = json.loads(output)
         assert doc["status"] == "pass"
         assert doc["residuals"]["porism_closure"]["value"] < 1e-8
+        # the porism holds from every start, so it is checked from five fixed ones
+        config = poncelet.search_closing_config(5, 2, 1.0, 0.3)
+        starts = [j * math.pi / 5 for j in range(5)]
+        assert doc["residuals"]["porism_closure"]["value"] == poncelet.porism_residual(
+            config, 5, 2, starts)
 
     def test_invalid_nesting_exit(self):
         code, _ = run_cli(["poncelet", "--R", "1", "--r", "0.5", "--a", "0.6"])
@@ -448,7 +453,7 @@ class TestVerifyAll:
 @pytest.mark.parametrize("argv", [
     ["napier", "--grid", "--samples", "-1"],
     ["napier", "--grid", "--seed", "-1"],
-    ["poncelet", "--R", "1", "--r", "0.3", "--solve", "5", "2", "--seed", "-1"],
+    ["napier", "--k", "0.5", "--seed", "-1"],
     ["verify-all", "--seed", "-2"]])
 def test_negative_count_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as info:
@@ -524,14 +529,19 @@ def test_exit_code_table(error, monkeypatch):
     (["napier", "--grid", "--k", "0.7"], "argument --k: not allowed with argument --grid"),
     (["napier", "--grid", "--u", "0.3", "--csv", "F.csv"],
      "argument --u: not allowed with argument --grid"),
-    (["poncelet", "--R", "1", "--r", "0.5", "--a", "0.2", "--seed", "3"],
-     "argument --seed: not allowed without argument --solve"),
+    (["napier", "--k", "0.5", "--u", "0.3", "--seed", "3"],
+     "argument --seed: not allowed without argument --grid"),
+    (["napier", "--k", "0.5", "--u", "0.3", "--samples", "7"],
+     "argument --samples: not allowed without argument --grid"),
+    # the porism starts from fixed angles, so poncelet takes no seed at all
+    (["poncelet", "--R", "1", "--r", "0.3", "--solve", "5", "2", "--seed", "3"],
+     "unrecognized arguments: --seed 3"),
     (["poncelet", "--R", "1", "--r", "0.3", "--solve", "5", "2", "--steps", "10"],
      "argument --steps: not allowed without argument --svg or --csv"),
     (["poncelet", "--R", "1", "--r", "0.5", "--a", "0.2", "--phi0", "-3"],
      "argument --phi0: not allowed without argument --svg or --csv")],
-    ids=["napier-csv", "napier-grid-k", "napier-grid-u", "poncelet-seed", "poncelet-steps",
-         "poncelet-phi0"])
+    ids=["napier-csv", "napier-grid-k", "napier-grid-u", "napier-seed", "napier-samples",
+         "poncelet-seed", "poncelet-steps", "poncelet-phi0"])
 def test_dropped_option_is_refused(argv, message, tmp_path, monkeypatch, capsys):
     # an option that the chosen mode would not read is a usage error: exit 2,
     # both options named, and no JSON document and no file
@@ -552,16 +562,16 @@ def test_modes_read_their_options(tmp_path, monkeypatch):
     doc = json.loads(run_cli(["napier", "--json"])[1])
     assert doc["inputs"] == {"k": 0.0, "u": 0.0}
     code, _ = run_cli(["poncelet", "--R", "1", "--r", "0.3", "--solve", "5", "2",
-                       "--seed", "4", "--steps", "3", "--phi0", "-3", "--csv", "w.csv"])
+                       "--steps", "3", "--phi0", "-3", "--csv", "w.csv"])
     assert code == 0 and len((tmp_path / "w.csv").read_text().splitlines()) == 5
 
 
 @pytest.mark.parametrize("argv, code, error, inputs", [
     (["bridge", "--omega", "5"], 4, "SubcriticalError", {"omega": 5.0}),
     (["poncelet", "--R", "1", "--r", "0.4", "--solve", "5", "2"], 5, "NoSolutionError",
-     {"R": 1.0, "r": 0.4, "a": 0.0, "phi0": 0.0, "seed": 0, "solve": [5, 2], "steps": 30}),
+     {"R": 1.0, "r": 0.4, "a": 0.0, "phi0": 0.0, "solve": [5, 2], "steps": 30}),
     (["poncelet", "--R", "1", "--r", "1.5", "--solve", "5", "2"], 2, "GeometryError",
-     {"R": 1.0, "r": 1.5, "a": 0.0, "phi0": 0.0, "seed": 0, "solve": [5, 2], "steps": 30})],
+     {"R": 1.0, "r": 1.5, "a": 0.0, "phi0": 0.0, "solve": [5, 2], "steps": 30})],
     ids=["bridge", "poncelet", "poncelet-unnested"])
 def test_error_reaches_json_consumers(argv, code, error, inputs, capsys):
     # stdout carried nothing for these under --json; the stderr text is unchanged
@@ -589,6 +599,22 @@ def test_unwritable_output_path(argv, flag, tmp_path, capsys):
     doc = assert_error_document(output, argv[0], "FileNotFoundError", err)
     assert doc["inputs"][flag[2:]] == target
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("flag", ["--json", None])
+def test_closed_stdout(flag):
+    # the reader stops after 10 bytes of a grid larger than a pipe holds: one stderr
+    # line, exit 2, and neither an error document nor a traceback
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pentagramma.__file__)))
+    argv = ["napier", "--grid", "--samples", "100", *([flag] if flag else [])]
+    proc = subprocess.Popen([sys.executable, "-m", "pentagramma.cli", *argv],
+                            env=dict(os.environ, PYTHONPATH=src),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(10) == b"k,u,alpha_"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 2
+    assert err == "cannot write: [Errno 32] Broken pipe\n"
 
 
 class TestJsonShape:

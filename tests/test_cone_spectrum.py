@@ -5,13 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pentagramma.cone_spectrum import (OMEGA_CRITICAL, OMEGA_TOP, ConeQuadric, SpectralTriple,
-                                       cone_coefficients, modulus_from_spectrum,
+from pentagramma.cone_spectrum import (GOLDEN, OMEGA_CRITICAL, OMEGA_TOP, ConeQuadric,
+                                       SpectralTriple, cone_coefficients, modulus_from_spectrum,
                                        solve_characteristic)
 from pentagramma.elliptic_kernel import complete_K, jacobi_triple
 from pentagramma.errors import DegenerateError, DomainError, SubcriticalError
 from pentagramma.oracles import characteristic_matrix, characteristic_poly
-from pentagramma.pentagram_algebra import GOLDEN, complete_from_two
+from pentagramma.pentagram_algebra import complete_from_two
 
 
 class TestConeCoefficients:

@@ -14,7 +14,7 @@ from pentagramma.elliptic_kernel import complete_K
 from pentagramma.errors import DomainError
 from pentagramma.napier_uniformization import alpha_sequence, beta_sequence, frame_vectors
 from pentagramma.oracles import li2_series
-from pentagramma.pentagram_algebra import GOLDEN
+from pentagramma.cone_spectrum import GOLDEN
 
 unit_interval = st.floats(min_value=1e-3, max_value=1.0 - 1e-3,
                           allow_nan=False, allow_infinity=False)

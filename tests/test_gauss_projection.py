@@ -11,7 +11,7 @@ from pentagramma.gauss_projection import (PlanarPentagon, confocal_residual, ecc
                                           recover_from_pm1, recover_from_pm2)
 from pentagramma.napier_uniformization import alpha_sequence, frame_vectors, sweep_frames
 from pentagramma.oracles import chord_alphas, chord_betas
-from pentagramma.pentagram_algebra import GOLDEN
+from pentagramma.cone_spectrum import GOLDEN
 
 
 def k_for_omega20():

@@ -16,7 +16,7 @@ from pentagramma.napier_uniformization import (K_GRID, OMEGA_MAX, PentagonFrame,
                                                alpha_sequence, beta_sequence, frame_vectors,
                                                k_of_omega, omega_of_k, sweep_frames)
 from pentagramma.oracles import chord_alphas, chord_betas, invert_omega_of_k
-from pentagramma.pentagram_algebra import GOLDEN
+from pentagramma.cone_spectrum import GOLDEN
 
 
 class TestFrameVectors:

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pentagramma.cone_spectrum import GOLDEN
 from pentagramma.errors import DomainError, InvariantError
 from pentagramma.oracles import right_triangle
-from pentagramma.pentagram_algebra import (GOLDEN, AlphaCycle, NapierParts,
+from pentagramma.pentagram_algebra import (AlphaCycle, NapierParts,
                                            build_sphere_vertices, complete_from_two,
                                            gauss_reflect, napier_rotate,
                                            orthogonality_residuals, pentagon_parts,

@@ -516,6 +516,17 @@ class TestSearchClosingConfig:
             search_closing_config(5, 1, 1.0, 0.3)
         assert "keeps sign" in str(info.value) and "no closing configuration" in str(info.value)
 
+    def test_tiny_inner_circle_names_the_empty_bracket(self):
+        # r/R <= 1e-9 leaves no room below r, so the bracket is [0, 0]
+        with pytest.raises(NoSolutionError, match=re.escape("on the bracket a in [0, 0.0]")):
+            search_closing_config(40, 1, 1.0, 1e-10)
+
+    def test_near_tangent_inner_circle_names_the_concentric_limit(self):
+        # r beyond R cos(pi/40), not the empty bracket, is why this pair cannot close
+        with pytest.raises(NoSolutionError, match=re.escape(
+                f"R cos(pi m/n) = {math.cos(math.pi / 40)!r}")):
+            search_closing_config(40, 1, 1.0, 0.9999999995)
+
     @pytest.mark.parametrize("n, m", [(5, 4), (5, 3), (4, 2), (7, 4)])
     def test_half_turn_bound_named_before_evaluation(self, n, m, monkeypatch):
         # F(alpha) < K for every nested pair, so m/n >= 1/2 never closes
