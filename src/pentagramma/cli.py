@@ -228,8 +228,7 @@ def _napier_row(frame):
     betas = beta_sequence(frame)
     law = max(abs(r) for r in cycle.relation_residuals())
     five = abs(pentagon_five_term(betas))
-    consistency = max(abs(b - v / (1.0 + v)) for b, v in zip(betas, cycle.alphas))
-    return cycle, betas, law, five, consistency
+    return cycle, betas, law, five
 
 
 def cmd_napier(args, out) -> RunReport | None:
@@ -239,7 +238,7 @@ def cmd_napier(args, out) -> RunReport | None:
 
         def rows():
             for frame in sweep_frames(np.random.default_rng(args.seed), args.samples):
-                cycle, betas, law, five, _ = _napier_row(frame)
+                cycle, betas, law, five = _napier_row(frame)
                 yield [format(v, ".17g")
                        for v in (frame.k, frame.u, *cycle.alphas, *betas, law, five)]
 
@@ -255,7 +254,7 @@ def cmd_napier(args, out) -> RunReport | None:
         return None
 
     frame = frame_vectors(args.k, args.u)
-    cycle, betas, law, five, consistency = _napier_row(frame)
+    cycle, betas, law, five = _napier_row(frame)
     report = RunReport(
         command="napier",
         inputs={"k": args.k, "u": args.u},
@@ -269,7 +268,6 @@ def cmd_napier(args, out) -> RunReport | None:
     )
     report.checks.append(Check("pentagon_law", law, 1e-10))
     report.checks.append(Check("five_term_sum", five, 1e-10))
-    report.checks.append(Check("beta_consistency", consistency, 1e-12))
     if args.svg:
         _write_file(args.svg, pentagon_svg(pentagon_from_frame(frame)))
         report.outputs["svg"] = args.svg
@@ -434,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 # per subcommand, rows of (switches, wanted, {option: default}): the mode reads the
 # options only when one of the switches being given is wanted; each option is None
-# until given, so a given one that the mode would drop is refused
+# until given, then a given one that the mode would drop is refused, a read one defaulted
 _MODE_OPTIONS = {"napier": ((("grid",), False, {"k": 0.0, "u": 0.0, "svg": None}),
                             (("grid",), True, {"csv": None, "seed": 0, "samples": 20})),
                  "poncelet": ((("solve",), False, {"a": 0.0}),
@@ -442,12 +440,12 @@ _MODE_OPTIONS = {"napier": ((("grid",), False, {"k": 0.0, "u": 0.0, "svg": None}
 
 
 def _refuse_dropped(args, error) -> None:
-    """A usage error for a given option that the chosen mode would drop; else its default."""
+    """A usage error for a given option that the mode would drop; else a read one's default."""
     for switches, wanted, options in _MODE_OPTIONS[args.subcommand]:
         read = any(getattr(args, s) for s in switches) == wanted
         for dest, default in options.items():
             if getattr(args, dest) is None:
-                setattr(args, dest, default)
+                setattr(args, dest, default if read else None)
             elif not read:
                 error(f"argument --{dest}: not allowed {'without' if wanted else 'with'} "
                       f"argument {' or '.join(f'--{s}' for s in switches)}")
@@ -462,6 +460,7 @@ def _report_error(args, out, exc: PentagrammaError | OSError, label: str, code: 
         out.write(_to_json({"command": args.subcommand, "error": type(exc).__name__,
                             "inputs": inputs, "message": str(exc),
                             "status": "error"}) + "\n")
+        out.flush()
     return code
 
 
@@ -472,30 +471,33 @@ def main(argv=None, out=None) -> int:
     if args.subcommand in _MODE_OPTIONS:
         _refuse_dropped(args, parser.error)
     try:
-        args.tol = _tol_override(args)
-        report = args.func(args, out)
-        if report is not None:
-            if args.func is not cmd_verify_all:  # verify-all applies it per criterion
-                report.checks = _apply_override(report.checks, args.tol)
-            out.write((report_json(report) if args.json else report_text(report)) + "\n")
-        out.flush()
-    except (DomainError, GeometryError) as exc:
-        return _report_error(args, out, exc, "domain error", _EXIT_DOMAIN)
-    except SubcriticalError as exc:
-        return _report_error(args, out, exc, "subcritical", _EXIT_SUBCRITICAL)
-    except NoSolutionError as exc:
-        return _report_error(args, out, exc, "search failed", _EXIT_SEARCH)
-    except PentagrammaError as exc:
-        return _report_error(args, out, exc, "invariant violation", _EXIT_INVARIANT)
-    except BrokenPipeError as exc:  # a closed stdout takes no error document either
+        try:
+            args.tol = _tol_override(args)
+            report = args.func(args, out)
+            if report is not None:
+                if args.func is not cmd_verify_all:  # verify-all applies it per criterion
+                    report.checks = _apply_override(report.checks, args.tol)
+                out.write((report_json(report) if args.json else report_text(report)) + "\n")
+            out.flush()
+        except (DomainError, GeometryError) as exc:
+            return _report_error(args, out, exc, "domain error", _EXIT_DOMAIN)
+        except SubcriticalError as exc:
+            return _report_error(args, out, exc, "subcritical", _EXIT_SUBCRITICAL)
+        except NoSolutionError as exc:
+            return _report_error(args, out, exc, "search failed", _EXIT_SEARCH)
+        except PentagrammaError as exc:
+            return _report_error(args, out, exc, "invariant violation", _EXIT_INVARIANT)
+        except BrokenPipeError:  # not an unwritable path: the handler below takes it
+            raise
+        except OSError as exc:  # an unwritable --csv or --svg path
+            return _report_error(args, out, exc, "cannot write", _EXIT_DOMAIN)
+    except BrokenPipeError as exc:  # a closed stdout, met by a report or an error document
         if out is sys.stdout:  # and the interpreter's last flush goes nowhere
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, out.fileno())
             os.close(devnull)
         print(f"cannot write: {exc}", file=sys.stderr)
         return _EXIT_DOMAIN
-    except OSError as exc:  # an unwritable --csv or --svg path
-        return _report_error(args, out, exc, "cannot write", _EXIT_DOMAIN)
     return 0 if report is None or report.passed else _EXIT_CHECK_FAIL
 
 

@@ -1,16 +1,15 @@
-"""Independent oracles the acceptance battery and the tests check the library against.
+"""Independent second routes the acceptance battery checks the library against.
 
-Everything here goes through a different computational route than the code
-it checks: quadrature instead of AGM, direct series summation, the spherical
-law of cosines, a matrix for numpy's symmetric eigensolver, plain polynomial evaluation,
-root finding over whole frames, chord quantities from planar data.
+Each goes through a different computational route than the code it checks,
+and a criterion of verify-all runs each: quadrature F instead of the AGM
+descent (4), the Poncelet rotation number by that quadrature (8), direct
+series summation for li2 (9), the spherical law of cosines (10) and the
+plain characteristic cubic (3).  Routes only the tests use live in tests/.
 """
 import functools
 import math
 
-from . import napier_uniformization
-from .cone_spectrum import OMEGA_CRITICAL
-from .errors import DomainError, SubcriticalError
+from .errors import DomainError
 from .pentagram_algebra import NapierParts
 
 
@@ -136,72 +135,6 @@ def rotation_number(R, r, a):
     return quad_F(alpha, k) / quad_F(math.pi, k)
 
 
-def invert_quad_F(u, k):
-    """Amplitude by bisecting the quadrature integral; u must lie in [0, K]."""
-    lo, hi = 0.0, math.pi / 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if quad_F(mid, k) < u:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def invert_omega_of_k(omega):
-    """k with omega_of_k(k) = omega, by bisection over whole Napier frames on [0, 0.999999].
-
-    The bracket is halved until it is 1e-15 wide in k, and the midpoint with
-    the smallest residual is returned.  Where omega grows, that is an end of
-    the last bracket.  Below k ~ 5e-4 omega is not monotone at the ulp level:
-    omega - omega_c (true size about k^4) reads a few ulps of either sign, so
-    the inverse is only defined to within [0, ~5e-4], the best k the bisection met.
-    """
-    omega_of_k = napier_uniformization.omega_of_k
-    k_max = 0.999999
-    if omega < OMEGA_CRITICAL - 1e-12:
-        raise SubcriticalError(f"omega={omega!r} below the regular value")
-    # omega_of_k(0) may round to either side of OMEGA_CRITICAL; both mean k = 0
-    if omega <= max(OMEGA_CRITICAL, omega_of_k(0.0)):
-        return 0.0
-    top = omega_of_k(k_max)
-    if omega > top:
-        raise DomainError(f"omega={omega!r} beyond the supported range ({top:.3e})")
-    lo, hi = 0.0, k_max
-    best = (math.inf, hi)
-    while hi - lo > 1e-15:
-        mid = 0.5 * (lo + hi)
-        value = omega_of_k(mid)
-        best = min(best, (abs(value - omega), mid))
-        if value < omega:
-            lo = mid
-        else:
-            hi = mid
-    return best[1]
-
-
-def chord_alphas(p):
-    """Squared tangents from planar chords alone (no third coordinate)."""
-    out = []
-    for i in range(5):
-        x1, y1 = p.point(i)
-        x2, y2 = p.point(i + 1)
-        num = (x1 - x2) ** 2 + (y1 - y2) ** 2 + (x1 * y2 - y1 * x2) ** 2
-        out.append(num / (x1 * x2 + y1 * y2 + 1.0) ** 2)
-    return tuple(out)
-
-
-def chord_betas(p):
-    """Squared sines of the vertex gaps, again from planar data."""
-    out = []
-    for i in range(5):
-        x1, y1 = p.point(i)
-        x2, y2 = p.point(i + 1)
-        num = (x1 - x2) ** 2 + (y1 - y2) ** 2 + (x1 * y2 - y1 * x2) ** 2
-        out.append(num / ((x1 ** 2 + y1 ** 2 + 1.0) * (x2 ** 2 + y2 ** 2 + 1.0)))
-    return tuple(out)
-
-
 # the most terms li2_series sums; x = 0.99 meets its 1e-18 cut after about 2,600
 _LI2_SERIES_TERMS = 200000
 
@@ -238,17 +171,6 @@ def right_triangle(a, b):
     half = math.pi / 2.0
     parts = NapierParts((a, b, half - alpha, half - c, half - beta))
     return parts, c, alpha, beta
-
-
-def characteristic_matrix(c):
-    """Symmetric matrix of the cone form c; its eigenvalues solve the characteristic cubic."""
-    import numpy as np
-
-    return np.array([
-        [0.0, c.r / 2.0, c.p / 2.0],
-        [c.r / 2.0, 0.0, c.q / 2.0],
-        [c.p / 2.0, c.q / 2.0, 1.0],
-    ])
 
 
 def characteristic_poly(t, omega):

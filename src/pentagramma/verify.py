@@ -173,7 +173,7 @@ def criterion_7(col: _Collector, rng) -> None:
 
 
 def criterion_8(col: _Collector, rng) -> None:
-    """Poncelet closure: the stated search, the porism, shadowing."""
+    """Poncelet closure: the stated search, its rotation number, the porism, shadowing."""
     try:
         config = poncelet.search_closing_config(5, 2, 1.0, 0.4)
         worst = abs(poncelet.closure_residual(config, 5, 2))
@@ -181,8 +181,12 @@ def criterion_8(col: _Collector, rng) -> None:
         col.add("poncelet.search(5,2,R=1,r=0.4)", porism, 1e-8)
         col.add("poncelet.search_residual(5,2,R=1,r=0.4)", worst, 1e-12)
     except NoSolutionError as exc:
+        # the rotation number falls from its a = 0 value as the centres part
+        peak = oracles.rotation_number(1.0, 0.4, 0.0)
         detail = (f"{exc}; a 5/2 star cannot touch an inner circle beyond "
-                  "~0.31 R, so this stated input has no closing distance")
+                  "~0.31 R: the quadrature rotation number peaks at "
+                  f"rotation_number(1, 0.4, 0) = {peak:.6f} < 2/5, "
+                  "so this stated input has no closing distance")
         col.add("poncelet.search(5,2,R=1,r=0.4)", math.inf, 1e-8, detail)
         col.add("poncelet.search_residual(5,2,R=1,r=0.4)", math.inf, 1e-12, detail)
 
@@ -190,6 +194,9 @@ def criterion_8(col: _Collector, rng) -> None:
     config = poncelet.search_closing_config(5, 2, 1.0, 0.3)
     col.add("poncelet.search_residual(5,2,R=1,r=0.3)",
             abs(poncelet.closure_residual(config, 5, 2)), 1e-12)
+    # the quadrature's turns per chord at the searched root: a second route to its answer
+    col.add("poncelet.rotation_number(5,2,R=1,r=0.3)",
+            abs(oracles.rotation_number(1.0, 0.3, config.a) - 2 / 5), 1e-12)
     col.add("poncelet.porism(5,2,R=1,r=0.3)", poncelet.porism_residual(
         config, 5, 2, rng.uniform(0.0, 2 * PI, size=5)), 1e-8)
 
@@ -208,9 +215,11 @@ def criterion_8(col: _Collector, rng) -> None:
 
 
 def criterion_9(col: _Collector, rng) -> None:
-    """Dilogarithm values, the two functional equations, the pentagon sum."""
+    """Dilogarithm values and series, the two functional equations, the pentagon sum."""
     col.add("dilog.landen", abs(dilogarithm.rogers_L(1.0 / GOLDEN) - PI ** 2 / 10),
             1e-12)
+    col.add("dilog.series", max(abs(dilogarithm.li2(x) - oracles.li2_series(x))
+                                for x in (0.05 * i for i in range(20))), 1e-13)
     worst_reflection = max(
         abs(dilogarithm.rogers_L(x) + dilogarithm.rogers_L(1.0 - x) - PI ** 2 / 6)
         for x in rng.uniform(1e-6, 1.0 - 1e-6, size=1000).tolist())

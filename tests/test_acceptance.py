@@ -12,6 +12,7 @@ infeasibility is confirmed by an oracle that shares no code with the kernel
 or the search: the quadrature rotation number stays below 2/5 over the whole
 nested range of centre distances at r = 0.4, and exceeds 2/5 at r = 0.3.
 """
+import dataclasses
 import io
 import json
 import math
@@ -20,7 +21,7 @@ import mpmath
 import pytest
 
 from battery_outcomes import CRITERION_8_FAILING
-from pentagramma import pentagram_algebra, verify
+from pentagramma import dilogarithm, pentagram_algebra, poncelet, verify
 from pentagramma.cli import main
 from pentagramma.oracles import rotation_number
 
@@ -38,6 +39,7 @@ def _report(number, checks, capsys):
 
 CRITERION_8_PASSING = {
     "poncelet.search_residual(5,2,R=1,r=0.3)",
+    "poncelet.rotation_number(5,2,R=1,r=0.3)",
     "poncelet.porism(5,2,R=1,r=0.3)",
     "poncelet.shadowing",
 }
@@ -92,6 +94,27 @@ def test_criterion_10_sees_a_wrong_reflection(monkeypatch):
     checks = {c.name: c for c in verify.run_criterion(10, seed=0)}
     assert checks["napier.gauss_reflection"].residual == math.inf
     assert checks["napier.pentagon_triangles"].passed
+
+
+def test_criterion_8_sees_a_wrong_root(monkeypatch):
+    # a centre distance 1e-6 off the root turns the quadrature away from 2/5
+    search = poncelet.search_closing_config
+
+    def shifted(n, m, R, r):
+        config = search(n, m, R, r)
+        return dataclasses.replace(config, a=config.a + 1e-6)
+
+    monkeypatch.setattr(poncelet, "search_closing_config", shifted)
+    checks = {c.name: c for c in verify.run_criterion(8, seed=0)}
+    assert not checks["poncelet.rotation_number(5,2,R=1,r=0.3)"].passed
+
+
+def test_criterion_9_sees_a_wrong_li2(monkeypatch):
+    # li2 off by 1e-12 relative is beyond the series check's 1e-13
+    li2 = dilogarithm.li2
+    monkeypatch.setattr(dilogarithm, "li2", lambda x: li2(x) * (1.0 + 1e-12))
+    checks = {c.name: c for c in verify.run_criterion(9, seed=0)}
+    assert not checks["dilog.series"].passed
 
 
 def test_rotation_number_against_mpmath():

@@ -568,10 +568,11 @@ def test_modes_read_their_options(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("argv, code, error, inputs", [
     (["bridge", "--omega", "5"], 4, "SubcriticalError", {"omega": 5.0}),
+    # the search reads no --a and draws no walk: those options are not listed
     (["poncelet", "--R", "1", "--r", "0.4", "--solve", "5", "2"], 5, "NoSolutionError",
-     {"R": 1.0, "r": 0.4, "a": 0.0, "phi0": 0.0, "solve": [5, 2], "steps": 30}),
+     {"R": 1.0, "r": 0.4, "solve": [5, 2]}),
     (["poncelet", "--R", "1", "--r", "1.5", "--solve", "5", "2"], 2, "GeometryError",
-     {"R": 1.0, "r": 1.5, "a": 0.0, "phi0": 0.0, "solve": [5, 2], "steps": 30})],
+     {"R": 1.0, "r": 1.5, "solve": [5, 2]})],
     ids=["bridge", "poncelet", "poncelet-unnested"])
 def test_error_reaches_json_consumers(argv, code, error, inputs, capsys):
     # stdout carried nothing for these under --json; the stderr text is unchanged
@@ -601,20 +602,32 @@ def test_unwritable_output_path(argv, flag, tmp_path, capsys):
     assert not (tmp_path / "missing").exists()
 
 
-@pytest.mark.parametrize("flag", ["--json", None])
-def test_closed_stdout(flag):
-    # the reader stops after 10 bytes of a grid larger than a pipe holds: one stderr
-    # line, exit 2, and neither an error document nor a traceback
+@pytest.mark.parametrize("argv, lead", [
+    (["napier", "--grid", "--samples", "100", "--json"], ""),
+    (["napier", "--grid", "--samples", "100"], ""),
+    (["poncelet", "--R", "1", "--r", "0.4", "--solve", "5", "2", "--json"],
+     "search failed: inner radius r=0.4 is beyond the concentric limit")],
+    ids=["--json", "None", "search-failed"])
+def test_closed_stdout(argv, lead):
+    # exit 2, one `cannot write` line after the typed error's own line if any, and
+    # neither an error document nor a traceback.  The grid's reader stops after 10
+    # bytes of more than a pipe holds; an error document is smaller than a pipe
+    # buffer, so that pipe's read end is closed before the command starts
     src = os.path.dirname(os.path.dirname(os.path.abspath(pentagramma.__file__)))
-    argv = ["napier", "--grid", "--samples", "100", *([flag] if flag else [])]
+    read_end, write_end = os.pipe()
+    if lead:
+        os.close(read_end)
     proc = subprocess.Popen([sys.executable, "-m", "pentagramma.cli", *argv],
                             env=dict(os.environ, PYTHONPATH=src),
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    assert proc.stdout.read(10) == b"k,u,alpha_"
-    proc.stdout.close()
+                            stdout=write_end, stderr=subprocess.PIPE)
+    os.close(write_end)
+    if not lead:
+        with os.fdopen(read_end, "rb") as reader:
+            assert reader.read(10) == b"k,u,alpha_"
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=120) == 2
-    assert err == "cannot write: [Errno 32] Broken pipe\n"
+    assert err.startswith(lead) and err.endswith("cannot write: [Errno 32] Broken pipe\n")
+    assert err.count("\n") == (2 if lead else 1)
 
 
 class TestJsonShape:

@@ -10,8 +10,17 @@ from pentagramma.cone_spectrum import (GOLDEN, OMEGA_CRITICAL, OMEGA_TOP, ConeQu
                                        solve_characteristic)
 from pentagramma.elliptic_kernel import complete_K, jacobi_triple
 from pentagramma.errors import DegenerateError, DomainError, SubcriticalError
-from pentagramma.oracles import characteristic_matrix, characteristic_poly
+from pentagramma.oracles import characteristic_poly
 from pentagramma.pentagram_algebra import complete_from_two
+
+
+def characteristic_matrix(c):
+    """Symmetric matrix of the cone form c; its eigenvalues solve the characteristic cubic."""
+    return np.array([
+        [0.0, c.r / 2.0, c.p / 2.0],
+        [c.r / 2.0, 0.0, c.q / 2.0],
+        [c.p / 2.0, c.q / 2.0, 1.0],
+    ])
 
 
 class TestConeCoefficients:

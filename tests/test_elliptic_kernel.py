@@ -14,13 +14,25 @@ from pentagramma.elliptic_kernel import (_MEMO_SIZE, _PHASES, MAX_ARGUMENT, MAX_
                                          JacobiTriple, am, complete_K, half_angle_tan,
                                          incomplete_F, jacobi_sum, jacobi_triple)
 from pentagramma.errors import DomainError, InvariantError, NearPoleError
-from pentagramma.oracles import invert_quad_F, quad_F
+from pentagramma.oracles import quad_F
 
 # frozen against an adaptive-quadrature / series evaluation of the defining
 # integrals (independent multi-precision route, 25 digits)
 K_08 = 1.9953027776647294
 F_PI5_06 = 0.6429228814909583
 TRIPLE_07_05 = (0.6342932763351124, 0.7730925168413343, 0.9483765127305806)
+
+
+def invert_quad_F(u, k):
+    """Amplitude by bisecting the quadrature integral; u must lie in [0, K]."""
+    lo, hi = 0.0, math.pi / 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if quad_F(mid, k) < u:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 # both ends of the modulus domain, and two points near k = 1

@@ -10,7 +10,6 @@ from pentagramma.gauss_projection import (PlanarPentagon, confocal_residual, ecc
                                           gauss_theorem_residuals, pentagon_from_frame,
                                           recover_from_pm1, recover_from_pm2)
 from pentagramma.napier_uniformization import alpha_sequence, frame_vectors, sweep_frames
-from pentagramma.oracles import chord_alphas, chord_betas
 from pentagramma.cone_spectrum import GOLDEN
 
 
@@ -92,20 +91,6 @@ class TestPentagonFromFrame:
         rows = frame.vectors[:2] + ((x * 1.001, y, z),) + frame.vectors[3:]
         with pytest.raises(InvariantError, match="next-nearest rays are not orthogonal"):
             pentagon_from_frame(dataclasses.replace(frame, vectors=rows))
-
-
-class TestChordQuantities:
-    def test_alphas_match_ray_route(self):
-        frame, pentagon, _ = make_case(0.5, 0.3)
-        from_rays = alpha_sequence(frame).alphas
-        assert chord_alphas(pentagon) == pytest.approx(from_rays, abs=1e-10)
-
-    def test_betas_are_alpha_ratios(self):
-        _, pentagon, _ = make_case(0.4, 0.8)
-        alphas = chord_alphas(pentagon)
-        betas = chord_betas(pentagon)
-        for a, b in zip(alphas, betas):
-            assert b == pytest.approx(a / (1 + a), abs=1e-13)
 
 
 class TestRecovery:

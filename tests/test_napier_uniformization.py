@@ -11,12 +11,42 @@ from pentagramma.cone_spectrum import (_NEAR_CRITICAL, OMEGA_CRITICAL,
                                        modulus_from_spectrum, solve_characteristic)
 from pentagramma.elliptic_kernel import MAX_MODULUS, complete_K, jacobi_triple
 from pentagramma.errors import ChordDegenerateError, DomainError, SubcriticalError
-from pentagramma.gauss_projection import pentagon_from_frame
 from pentagramma.napier_uniformization import (K_GRID, OMEGA_MAX, PentagonFrame,
                                                alpha_sequence, beta_sequence, frame_vectors,
                                                k_of_omega, omega_of_k, sweep_frames)
-from pentagramma.oracles import chord_alphas, chord_betas, invert_omega_of_k
 from pentagramma.cone_spectrum import GOLDEN
+
+
+def invert_omega_of_k(omega):
+    """k with omega_of_k(k) = omega, by bisection over whole Napier frames on [0, 0.999999].
+
+    The bracket is halved until it is 1e-15 wide in k, and the midpoint with
+    the smallest residual is returned.  Where omega grows, that is an end of
+    the last bracket.  Below k ~ 5e-4 omega is not monotone at the ulp level:
+    omega - omega_c (true size about k^4) reads a few ulps of either sign, so
+    the inverse is only defined to within [0, ~5e-4], the best k the bisection met.
+    """
+    omega_of_k = napier_uniformization.omega_of_k
+    k_max = 0.999999
+    if omega < OMEGA_CRITICAL - 1e-12:
+        raise SubcriticalError(f"omega={omega!r} below the regular value")
+    # omega_of_k(0) may round to either side of OMEGA_CRITICAL; both mean k = 0
+    if omega <= max(OMEGA_CRITICAL, omega_of_k(0.0)):
+        return 0.0
+    top = omega_of_k(k_max)
+    if omega > top:
+        raise DomainError(f"omega={omega!r} beyond the supported range ({top:.3e})")
+    lo, hi = 0.0, k_max
+    best = (math.inf, hi)
+    while hi - lo > 1e-15:
+        mid = 0.5 * (lo + hi)
+        value = omega_of_k(mid)
+        best = min(best, (abs(value - omega), mid))
+        if value < omega:
+            lo = mid
+        else:
+            hi = mid
+    return best[1]
 
 
 class TestFrameVectors:
@@ -216,9 +246,8 @@ class TestChordsAgainstNumpy:
         want_alphas, want_betas = numpy_chords(f)
         assert alphas == pytest.approx(want_alphas, rel=1e-14, abs=0.0)
         assert betas == pytest.approx(want_betas, rel=1e-14, abs=0.0)
-        pentagon = pentagon_from_frame(f)
-        assert alphas == pytest.approx(chord_alphas(pentagon), rel=1e-14, abs=0.0)
-        assert betas == pytest.approx(chord_betas(pentagon), rel=1e-14, abs=0.0)
+        # beta_j = alpha_j / (1 + alpha_j), by Lagrange's identity
+        assert betas == pytest.approx([a / (1.0 + a) for a in alphas], rel=1e-14, abs=0.0)
 
 
 class TestOmegaOfK:
