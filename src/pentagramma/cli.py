@@ -9,6 +9,7 @@ Exit codes: 0 pass, 1 check failure, 2 domain error, 3 invariant error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import os
@@ -162,8 +163,22 @@ def _write_csv(handle, header: list[str], rows) -> int:
     return count
 
 
+class _UnwritablePath(Exception):
+    """An OSError met on a --csv or --svg path, told apart from one met on stdout."""
+
+
+@contextlib.contextmanager
+def _output_file(path: str):
+    """The file at path, open for writing; an OSError it meets becomes an _UnwritablePath."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            yield handle
+    except OSError as exc:
+        raise _UnwritablePath from exc
+
+
 def _write_file(path: str, content: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    with _output_file(path) as handle:
         handle.write(content)
 
 
@@ -246,7 +261,7 @@ def cmd_napier(args, out) -> RunReport | None:
                   + [f"beta_{j}" for j in range(5)]
                   + ["law_residual", "five_term_residual"])
         if args.csv:
-            with open(args.csv, "w", encoding="utf-8") as handle:
+            with _output_file(args.csv) as handle:
                 count = _write_csv(handle, header, rows())
             out.write(f"wrote {count} rows to {args.csv}\n")
         else:
@@ -343,7 +358,7 @@ def cmd_poncelet(args, out) -> RunReport:
             _write_file(args.svg, poncelet_svg(config, walk))
             report.outputs["svg"] = args.svg
         if args.csv:
-            with open(args.csv, "w", encoding="utf-8") as handle:
+            with _output_file(args.csv) as handle:
                 _write_csv(handle, ["i", "phi"], ([i, format(float(phi), ".17g")]
                                                   for i, phi in enumerate(walk.phis)))
             report.outputs["csv"] = args.csv
@@ -487,11 +502,9 @@ def main(argv=None, out=None) -> int:
             return _report_error(args, out, exc, "search failed", _EXIT_SEARCH)
         except PentagrammaError as exc:
             return _report_error(args, out, exc, "invariant violation", _EXIT_INVARIANT)
-        except BrokenPipeError:  # not an unwritable path: the handler below takes it
-            raise
-        except OSError as exc:  # an unwritable --csv or --svg path
-            return _report_error(args, out, exc, "cannot write", _EXIT_DOMAIN)
-    except BrokenPipeError as exc:  # a closed stdout, met by a report or an error document
+        except _UnwritablePath as exc:  # an unwritable --csv or --svg path
+            return _report_error(args, out, exc.__cause__, "cannot write", _EXIT_DOMAIN)
+    except OSError as exc:  # a closed or full stdout, met by a report or an error document
         if out is sys.stdout:  # and the interpreter's last flush goes nowhere
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, out.fileno())

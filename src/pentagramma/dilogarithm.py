@@ -25,19 +25,12 @@ _BERNOULLI_COEFFS = (
 )
 
 
-def _li2_series(z: float) -> float:
-    # Li2(x) = sum_n B_n z^(n+1)/(n+1)! with z = -ln(1-x) ('t Hooft and
-    # Veltman 1979): z - z^2/4 + z^3 P(z^2), whose terms fall like
-    # (z/2pi)^2n.  Every term carries a factor z, so tiny x keeps its digits.
-    c1, c2, c3, c4, c5, c6, c7, c8, c9, c10 = _BERNOULLI_COEFFS
-    w = z * z
-    return z - 0.25 * w + z * w * (c1 + w * (c2 + w * (c3 + w * (c4 + w * (
-        c5 + w * (c6 + w * (c7 + w * (c8 + w * (c9 + w * c10)))))))))
-
-
 def _li2_and_log_product(x: float) -> tuple[float, float]:
     """Li2(x) and ln x ln(1-x) for x in [0, 1], both from one log pair.
 
+    Li2(x) = sum_n B_n z^(n+1)/(n+1)! with z = -ln(1-x) ('t Hooft and
+    Veltman 1979): z - z^2/4 + z^3 P(z^2), whose terms fall like
+    (z/2pi)^2n.  Every term carries a factor z, so tiny x keeps its digits.
     The series runs on z = -ln(1-x) up to 1/2 and, reflected through
     Li2(x) = pi^2/6 - ln x ln(1-x) - Li2(1-x), on z = -ln x above it, so
     z never exceeds ln 2.
@@ -50,9 +43,14 @@ def _li2_and_log_product(x: float) -> tuple[float, float]:
         return PI2_6, 0.0
     log_x, log_1mx = math.log(x), math.log1p(-x)
     product = log_x * log_1mx
+    z = -log_x if x > 0.5 else -log_1mx
+    c1, c2, c3, c4, c5, c6, c7, c8, c9, c10 = _BERNOULLI_COEFFS
+    w = z * z
+    series = z - 0.25 * w + z * w * (c1 + w * (c2 + w * (c3 + w * (c4 + w * (
+        c5 + w * (c6 + w * (c7 + w * (c8 + w * (c9 + w * c10)))))))))
     if x > 0.5:
-        return PI2_6 - product - _li2_series(-log_x), product
-    return _li2_series(-log_1mx), product
+        return PI2_6 - product - series, product
+    return series, product
 
 
 def li2(x: float) -> float:
@@ -73,9 +71,15 @@ def spence_residual(x: float, y: float) -> float:
         if not 0.0 < v < 1.0:
             raise DomainError(f"spence argument {v!r} outside (0, 1)")
     xy = x * y
-    return (rogers_L(x) + rogers_L(y) - rogers_L(xy)
-            - rogers_L(x * (1.0 - y) / (1.0 - xy))
-            - rogers_L(y * (1.0 - x) / (1.0 - xy)))
+    # L(v) = Li2(v) + 0.5 ln v ln(1-v), each bracketed as rogers_L forms it, so the
+    # sum is bit for bit the five rogers_L calls
+    lx, px = _li2_and_log_product(x)
+    ly, py = _li2_and_log_product(y)
+    lxy, pxy = _li2_and_log_product(xy)
+    l1, p1 = _li2_and_log_product(x * (1.0 - y) / (1.0 - xy))
+    l2, p2 = _li2_and_log_product(y * (1.0 - x) / (1.0 - xy))
+    return ((lx + 0.5 * px) + (ly + 0.5 * py) - (lxy + 0.5 * pxy)
+            - (l1 + 0.5 * p1) - (l2 + 0.5 * p2))
 
 
 def pentagon_five_term(betas) -> float:
@@ -83,7 +87,10 @@ def pentagon_five_term(betas) -> float:
     betas = tuple(betas)
     if len(betas) != 5:
         raise DomainError("expected exactly five beta values")
+    total = 0.0
     for v in betas:
         if not 0.0 < v < 1.0:
             raise DomainError(f"beta value {v!r} outside (0, 1)")
-    return sum(rogers_L(v) for v in betas) - PI2_2
+        value, product = _li2_and_log_product(float(v))
+        total += value + 0.5 * product
+    return total - PI2_2

@@ -52,13 +52,18 @@ class PentagonFrame:
         return tuple(out)
 
 
-def frame_vectors(k: float, u: float) -> PentagonFrame:
-    """r_j = (cn(u+4jK/5)/sqrt(c5), sqrt(d5) sn(u+4jK/5)/sqrt(c5), 1)."""
+def _lattice(k: float) -> tuple[float, float, float]:
+    """K(k), cn(2K/5) and dn(2K/5): the frame's constants, which depend on k alone."""
     quarter = complete_K(k)
     _, cn5, dn5 = jacobi_triple(0.4 * quarter, k)
     if cn5 <= 0.0:
         # 2K/5 < K forces a positive cn; anything else is a kernel branch bug
         raise InvariantError(f"cn(2K/5) = {cn5!r} not positive at k={k!r}")
+    return quarter, cn5, dn5
+
+
+def _frame(k: float, u: float, quarter: float, cn5: float, dn5: float) -> PentagonFrame:
+    """The frame at (k, u) from the lattice constants of k."""
     root_c = math.sqrt(cn5)
     root_d = math.sqrt(dn5)
     rows = []
@@ -68,15 +73,23 @@ def frame_vectors(k: float, u: float) -> PentagonFrame:
     return PentagonFrame(k=k, u=u, K=quarter, cn_fifth=cn5, dn_fifth=dn5, vectors=tuple(rows))
 
 
+def frame_vectors(k: float, u: float) -> PentagonFrame:
+    """r_j = (cn(u+4jK/5)/sqrt(c5), sqrt(d5) sn(u+4jK/5)/sqrt(c5), 1)."""
+    return _frame(k, u, *_lattice(k))
+
+
 def sweep_frames(rng, samples: int) -> Iterator[PentagonFrame]:
     """Frames on the (k, u) lattice, one k of K_GRID after another.
 
     Per k, `samples` u are drawn from rng uniform on [0, 0.8K), which covers
     the frame's period up to row order; the frames follow in increasing u.
+    Each frame equals frame_vectors(k, u); the lattice constants are computed
+    once per k.
     """
     for k in K_GRID:
-        for u in sorted(rng.uniform(0.0, 0.8 * complete_K(k), size=samples)):
-            yield frame_vectors(k, float(u))
+        lattice = _lattice(k)
+        for u in sorted(rng.uniform(0.0, 0.8 * lattice[0], size=samples).tolist()):
+            yield _frame(k, u, *lattice)
 
 
 def alpha_sequence(f: PentagonFrame) -> AlphaCycle:

@@ -48,15 +48,11 @@ def verify_napier(t: NapierParts):
     Returns (rule_one, rule_two), two 5-tuples; all ten vanish exactly when
     the tuple belongs to a genuine right triangle.
     """
-    p = t.parts
-    rule_one = tuple(
-        math.sin(p[i]) - math.tan(p[(i - 1) % 5]) * math.tan(p[(i + 1) % 5])
-        for i in range(5)
-    )
-    rule_two = tuple(
-        math.sin(p[i]) - math.cos(p[(i + 2) % 5]) * math.cos(p[(i + 3) % 5])
-        for i in range(5)
-    )
+    s0, s1, s2, s3, s4 = map(math.sin, t.parts)
+    t0, t1, t2, t3, t4 = map(math.tan, t.parts)
+    c0, c1, c2, c3, c4 = map(math.cos, t.parts)
+    rule_one = (s0 - t4 * t1, s1 - t0 * t2, s2 - t1 * t3, s3 - t2 * t4, s4 - t3 * t0)
+    rule_two = (s0 - c2 * c3, s1 - c3 * c4, s2 - c4 * c0, s3 - c0 * c1, s4 - c1 * c2)
     return rule_one, rule_two
 
 
@@ -77,11 +73,10 @@ class AlphaCycle:
 
     def relation_residuals(self) -> tuple[float, ...]:
         """Scaled residuals of 1 + a_i = a_{i+2} a_{i+3} at each position."""
-        a = self.alphas
-        return tuple(
-            (1.0 + a[i] - a[(i + 2) % 5] * a[(i + 3) % 5]) / (1.0 + a[i])
-            for i in range(5)
-        )
+        a0, a1, a2, a3, a4 = self.alphas
+        return ((1.0 + a0 - a2 * a3) / (1.0 + a0), (1.0 + a1 - a3 * a4) / (1.0 + a1),
+                (1.0 + a2 - a4 * a0) / (1.0 + a2), (1.0 + a3 - a0 * a1) / (1.0 + a3),
+                (1.0 + a4 - a1 * a2) / (1.0 + a4))
 
     def omega(self) -> float:
         prod = 1.0

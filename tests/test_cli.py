@@ -630,6 +630,28 @@ def test_closed_stdout(argv, lead):
     assert err.count("\n") == (2 if lead else 1)
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+@pytest.mark.parametrize("argv, lead", [
+    (["bridge", "--omega", "20", "--json"], ""),
+    (["napier", "--grid", "--samples", "2", "--json"], ""),
+    (["bridge", "--omega", "5", "--json"],
+     "subcritical: omega=5.0 below the critical value")],
+    ids=["report", "grid", "subcritical"])
+def test_full_stdout(argv, lead):
+    # a full stdout is met like a closed one: exit 2, one `cannot write` line after
+    # the typed error's own line if any, no second write and no traceback
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pentagramma.__file__)))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "pentagramma.cli", *argv],
+                              env=dict(os.environ, PYTHONPATH=src), stdout=full,
+                              stderr=subprocess.PIPE, timeout=120)
+    err = proc.stderr.decode()
+    assert proc.returncode == 2
+    assert err.startswith(lead)
+    assert err.endswith("cannot write: [Errno 28] No space left on device\n")
+    assert err.count("\n") == (2 if lead else 1)
+
+
 class TestJsonShape:
     def test_keys_sorted(self):
         _, output = run_cli(["bridge", "--omega", "20", "--json"])

@@ -19,6 +19,10 @@ from pentagramma.cone_spectrum import GOLDEN
 unit_interval = st.floats(min_value=1e-3, max_value=1.0 - 1e-3,
                           allow_nan=False, allow_infinity=False)
 closed_unit_interval = st.floats(min_value=0.0, max_value=1.0)
+open_unit_interval = st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
+                               exclude_max=True)
+# a Python float or the numpy scalar that a frame or a sweep may hand over
+float_or_numpy = st.sampled_from([float, np.float64])
 # tiny x, both sides of the 1/2 switch between the direct and reflected series, near 1
 EDGE_POINTS = [1e-300, 1e-20, math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.5, 1.0),
                1.0 - 1e-16, 1.0]
@@ -33,6 +37,14 @@ def mp_rogers_L(x):
     with mpmath.workdps(40):
         x = mpmath.mpf(x)
         return mpmath.polylog(2, x) + mpmath.log(x) * mpmath.log1p(-x) / 2
+
+
+def outcome(f, *args):
+    """The exact value f returns, or the message of the DomainError it raises."""
+    try:
+        return repr(f(*args))
+    except DomainError as exc:
+        return f"DomainError: {exc}"
 
 
 def relative_error(value, exact):
@@ -141,6 +153,20 @@ class TestSpence:
         with pytest.raises(DomainError):
             spence_residual(0.0, 0.5)
 
+    @given(open_unit_interval, open_unit_interval, float_or_numpy)
+    @settings(max_examples=300)
+    def test_is_the_rogers_composition(self, x, y, kind):
+        # bit for bit, and the same DomainError if an inner argument rounds out of [0, 1]
+        def composed(x, y):
+            x, y = float(x), float(y)
+            xy = x * y
+            return (rogers_L(x) + rogers_L(y) - rogers_L(xy)
+                    - rogers_L(x * (1.0 - y) / (1.0 - xy))
+                    - rogers_L(y * (1.0 - x) / (1.0 - xy)))
+
+        x, y = kind(x), kind(y)
+        assert outcome(spence_residual, x, y) == outcome(composed, x, y)
+
 
 class TestFiveCycle:
     """A frame's chord quantities b_n in (0,1) obey b_{n-1} b_{n+1} = 1 - b_n.
@@ -214,6 +240,13 @@ class TestPentagonFiveTerm:
     def test_boundary_rejected(self):
         with pytest.raises(DomainError):
             pentagon_five_term((0.2, 0.3, 1.0, 0.4, 0.5))
+
+    @given(st.lists(st.tuples(open_unit_interval, float_or_numpy), min_size=5, max_size=5))
+    @settings(max_examples=300)
+    def test_is_the_rogers_sum(self, drawn):
+        betas = [kind(v) for v, kind in drawn]
+        assert outcome(pentagon_five_term, betas) == outcome(
+            lambda b: sum(rogers_L(v) for v in b) - math.pi ** 2 / 2, betas)
 
     def test_frame_betas_match_alpha_route(self):
         # the cycle built from any frame's alphas reproduces its betas

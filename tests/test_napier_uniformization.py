@@ -99,15 +99,31 @@ class TestSweepFrames:
         # 0.1 * i is one ulp off at 0.3, 0.6 and 0.7
         assert K_GRID == (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
+    @pytest.mark.parametrize("seed, samples", [(0, 1), (4, 6), (11, 20), (2024, 37)])
+    def test_each_frame_is_frame_vectors(self, seed, samples):
+        # the sweep shares each k's lattice constants among its frames, bit for bit
+        count = 0
+        for count, frame in enumerate(sweep_frames(np.random.default_rng(seed), samples), 1):
+            assert type(frame.u) is float
+            want = frame_vectors(frame.k, frame.u)
+            for field in dataclasses.fields(PentagonFrame):
+                assert getattr(frame, field.name) == getattr(want, field.name), field.name
+        assert count == len(K_GRID) * samples
+
     @pytest.mark.parametrize("number, want", [(5, K_GRID), (6, K_GRID[1:]), (9, K_GRID)])
     def test_battery_frames_use_the_grid(self, number, want, monkeypatch):
+        # the k of every frame a criterion reads, at alpha_sequence or beta_sequence
         seen = []
 
-        def recording(k, u):
-            seen.append(k)
-            return frame_vectors(k, u)
+        def recording(read):
+            def record(frame):
+                seen.append(frame.k)
+                return read(frame)
+            return record
 
-        monkeypatch.setattr(napier_uniformization, "frame_vectors", recording)
+        for name in ("alpha_sequence", "beta_sequence"):
+            monkeypatch.setattr(napier_uniformization, name,
+                                recording(getattr(napier_uniformization, name)))
         verify.run_criterion(number)
         assert tuple(dict.fromkeys(seen)) == want
 
