@@ -95,11 +95,12 @@ def solve_characteristic(omega: float) -> SpectralTriple:
                           "root 1 + O(1/omega) is no longer resolved")
     if omega - OMEGA_CRITICAL < _NEAR_CRITICAL:
         half_sq = GOLDEN * GOLDEN / 2.0
-        return SpectralTriple(G=-GOLDEN, Gp=half_sq, Gpp=half_sq, omega=omega)
+        return SpectralTriple(-GOLDEN, half_sq, half_sq, omega)
 
     # monic form t^3 + A t^2 + B t + C, depressed by t = s - A/3
     A = -1.0
-    B = (1.0 - omega) / 4.0
+    linear = 1.0 - omega  # the cubic's t coefficient, 4B
+    B = linear / 4.0
     C = omega / 4.0
     pc = B - A * A / 3.0
     qc = 2.0 * A ** 3 / 27.0 - A * B / 3.0 + C
@@ -111,12 +112,11 @@ def solve_characteristic(omega: float) -> SpectralTriple:
     for j in range(3):
         t = radius * math.cos((theta - 2.0 * math.pi * j) / 3.0) - A / 3.0
         # two Newton steps on the cubic and its derivative, both in Horner form
-        for _ in range(2):
-            t -= ((((4.0 * t - 4.0) * t + (1.0 - omega)) * t + omega)
-                  / ((12.0 * t - 8.0) * t + (1.0 - omega)))
+        t -= (((4.0 * t - 4.0) * t + linear) * t + omega) / ((12.0 * t - 8.0) * t + linear)
+        t -= (((4.0 * t - 4.0) * t + linear) * t + omega) / ((12.0 * t - 8.0) * t + linear)
         polished.append(t)
     G, Gp, Gpp = sorted(polished)
-    return SpectralTriple(G=G, Gp=Gp, Gpp=Gpp, omega=omega)
+    return SpectralTriple(G, Gp, Gpp, omega)
 
 
 def modulus_from_spectrum(s: SpectralTriple) -> tuple[float, float, float]:

@@ -27,12 +27,19 @@ MAX_MODULUS = 1.0 - 1e-12
 # |u| and |phi| are multiplied by 2^N (N <= 8 on the modulus domain), which
 # must not overflow.
 MAX_ARGUMENT = 1e300
+# bound once: a -MAX_ARGUMENT in the callers' test would be a float made per call
+_MIN_ARGUMENT = -MAX_ARGUMENT
 
 _MAX_AGM_ITER = 64
 
+# the descent's libm calls, looked up once here rather than on math per call
+_sin, _cos, _asin, _atan2, _sqrt = math.sin, math.cos, math.asin, math.atan2, math.sqrt
+# tuple.__new__ makes a JacobiTriple without the NamedTuple's Python-level __new__ frame
+_new_tuple = tuple.__new__
+
 
 def _argument_error(name: str, x: float) -> DomainError:
-    # built only once the caller's inline test abs(x) <= MAX_ARGUMENT failed
+    # built only once the caller's inline test _MIN_ARGUMENT <= x <= MAX_ARGUMENT failed
     return DomainError(f"argument {name}={x!r} is not a finite number "
                        f"of magnitude <= {MAX_ARGUMENT!r}")
 
@@ -63,16 +70,16 @@ def _agm_phases(k: float) -> tuple[float, float, tuple, tuple, tuple]:
     """
     if not 0.0 <= k <= MAX_MODULUS:
         raise DomainError(f"modulus k={k!r} outside [0, MAX_MODULUS = {MAX_MODULUS!r}]")
-    a, b, c = 1.0, math.sqrt((1.0 - k) * (1.0 + k)), k
+    a, b, c = 1.0, _sqrt((1.0 - k) * (1.0 + k)), k
     ratios, steps = [], []
     for _ in range(_MAX_AGM_ITER):
-        nxt = (0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b))
+        gap = 0.5 * (a - b)
         # quadratic convergence bottoms out at rounding noise ~eps*a, so the
         # cut sits just above one ulp, with a plateau guard behind it
-        if abs(c) <= 2.5e-16 * a or abs(nxt[2]) >= abs(c):
+        if abs(c) <= 2.5e-16 * a or abs(gap) >= abs(c):
             break
-        steps.append((nxt[2], b))
-        a, b, c = nxt
+        steps.append((gap, b))
+        a, b, c = 0.5 * (a + b), _sqrt(a * b), gap
         ratios.append(c / a)
     else:
         raise InvariantError(f"AGM failed to converge for k={k!r}")
@@ -107,13 +114,13 @@ def am(u: float, k: float) -> float:
     its argument unchanged there.
     """
     _, seed, small, ratios, _ = _PHASES.get(k) or _agm_phases(k)
-    if not abs(u) <= MAX_ARGUMENT:
+    if not _MIN_ARGUMENT <= u <= MAX_ARGUMENT:
         raise _argument_error("u", u)
     phi = seed * u
     for ratio in small:
-        phi = 0.5 * (phi + ratio * math.sin(phi))
+        phi = 0.5 * (phi + ratio * _sin(phi))
     for ratio in ratios:
-        phi = 0.5 * (phi + math.asin(ratio * math.sin(phi)))
+        phi = 0.5 * (phi + _asin(ratio * _sin(phi)))
     return phi
 
 
@@ -128,9 +135,8 @@ class JacobiTriple(NamedTuple):
 def jacobi_triple(u: float, k: float) -> JacobiTriple:
     """(sn, cn, dn) at u.  dn is the positive root of 1 - k^2 sn^2."""
     phi = am(u, k)
-    sn = math.sin(phi)
-    # tuple.__new__ skips the NamedTuple's Python-level __new__ frame
-    return tuple.__new__(JacobiTriple, (sn, math.cos(phi), math.sqrt(1.0 - (k * sn) ** 2)))
+    sn = _sin(phi)
+    return _new_tuple(JacobiTriple, (sn, _cos(phi), _sqrt(1.0 - (k * sn) ** 2)))
 
 
 def incomplete_F(phi: float, k: float) -> float:
@@ -144,29 +150,36 @@ def incomplete_F(phi: float, k: float) -> float:
     equals it but does not cancel when k -> 1 and cos theta -> -1.
     """
     _, seed, _, _, steps = _PHASES.get(k) or _agm_phases(k)
-    if not abs(phi) <= MAX_ARGUMENT:
+    if not _MIN_ARGUMENT <= phi <= MAX_ARGUMENT:
         raise _argument_error("phi", phi)
     if phi == 0.0:  # F is odd: -0.0 stays -0.0, which the descent would turn into +0.0
         return phi
     for gap, geo in steps:
-        s, c = math.sin(phi), math.cos(phi)
-        phi = 2.0 * phi - math.atan2(2.0 * gap * s * c, geo + 2.0 * gap * c * c)
+        s, c = _sin(phi), _cos(phi)
+        phi = 2.0 * phi - _atan2(2.0 * gap * s * c, geo + 2.0 * gap * c * c)
     return phi / seed
 
 
-def jacobi_sum(u: float, v: float, k: float) -> JacobiTriple:
-    """(sn, cn, dn) of u+v through the addition-formula quotients."""
-    su, cu, du = jacobi_triple(u, k)
-    sv, cv, dv = jacobi_triple(v, k)
+def jacobi_sum(tu: JacobiTriple, tv: JacobiTriple, k: float) -> JacobiTriple:
+    """(sn, cn, dn) of u+v from the triples tu at u and tv at v (DLMF 22.8).
+
+    The caller holds the two triples, so no descent runs here; k is still
+    checked against the phase memo, like every other entry point.
+    """
+    if k not in _PHASES:
+        _agm_phases(k)  # the kernel's one modulus check
+    su, cu, du = tu
+    sv, cv, dv = tv
     denom = 1.0 - (k * su * sv) ** 2
     if abs(denom) <= DEFAULT_TOL:
-        # denom >= 1 - k^2 > 0 for any real arguments, so reaching this
-        # means the kernel itself broke.
-        raise InvariantError(f"addition-formula denominator vanished: {denom!r}")
+        # denom >= 1 - k^2 > 0 for any triples of real arguments, so the
+        # caller's triples are not the kernel's
+        raise InvariantError(f"addition-formula denominator vanished: {denom!r} at k={k!r}; "
+                             "the triples are not the kernel's")
     sn = (su * cv * dv + cu * sv * du) / denom
     cn = (cu * cv - su * sv * du * dv) / denom
     dn = (du * dv - k * k * su * sv * cu * cv) / denom
-    return tuple.__new__(JacobiTriple, (sn, cn, dn))
+    return _new_tuple(JacobiTriple, (sn, cn, dn))
 
 
 def half_angle_tan(x: float, y: float, k: float) -> float:

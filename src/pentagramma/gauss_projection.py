@@ -19,6 +19,9 @@ from .pentagram_algebra import orthogonality_residuals
 
 TWO_PI = 2.0 * math.pi
 
+# the residuals' libm calls, looked up once here rather than on math per call
+_sin, _cos, _sqrt = math.sin, math.cos, math.sqrt
+
 _FIT_TOL = 1e-9
 _COLLINEAR_TOL = 1e-12
 
@@ -115,8 +118,8 @@ def gauss_theorem_residuals(p: PlanarPentagon,
     G, Gp, Gpp = s.G, s.Gp, s.Gpp
     coeff_pp = G * (2.0 * G - 1.0) / (Gpp * (2.0 * Gpp - 1.0))
     coeff_p = G * (2.0 * G - 1.0) / (Gp * (2.0 * Gp - 1.0))
-    root_pp = math.sqrt(G * (G - 1.0) / (Gpp * (Gpp - 1.0)))
-    root_p = math.sqrt(G * (G - 1.0) / (Gp * (Gp - 1.0)))
+    root_pp = _sqrt(G * (G - 1.0) / (Gpp * (Gpp - 1.0)))
+    root_p = _sqrt(G * (G - 1.0) / (Gp * (Gp - 1.0)))
     if abs(root_pp - coeff_pp) > 1e-9 * abs(coeff_pp) or \
             abs(root_p - coeff_p) > 1e-9 * abs(coeff_p):
         raise InvariantError("root/rational coefficient forms disagree: "
@@ -129,15 +132,15 @@ def gauss_theorem_residuals(p: PlanarPentagon,
     ratio_pp, ratio_p = G / Gpp, G / Gp
     columns = []  # the four residuals at position i, transposed into rows at the end
     for i in range(5):
-        sin_phi, cos_phi = math.sin(ext[i + 2]), math.cos(ext[i + 2])
+        sin_phi, cos_phi = _sin(ext[i + 2]), _cos(ext[i + 2])
         fm2, fp2 = ext[i], ext[i + 4]
         half_sum2 = 0.5 * (fm2 + fp2)
-        half_diff2 = math.cos(0.5 * (fm2 - fp2))
+        half_diff2 = _cos(0.5 * (fm2 - fp2))
         fm1, fp1 = ext[i + 1], ext[i + 3]
         half_sum1 = 0.5 * (fm1 + fp1)
-        half_diff1 = math.cos(0.5 * (fm1 - fp1))
-        columns.append((math.sin(half_sum2) / half_diff2 - ratio_pp * sin_phi,
-                        math.cos(half_sum2) / half_diff2 - ratio_p * cos_phi,
-                        math.sin(half_sum1) / half_diff1 - coeff_pp * sin_phi,
-                        math.cos(half_sum1) / half_diff1 - coeff_p * cos_phi))
+        half_diff1 = _cos(0.5 * (fm1 - fp1))
+        columns.append((_sin(half_sum2) / half_diff2 - ratio_pp * sin_phi,
+                        _cos(half_sum2) / half_diff2 - ratio_p * cos_phi,
+                        _sin(half_sum1) / half_diff1 - coeff_pp * sin_phi,
+                        _cos(half_sum1) / half_diff1 - coeff_p * cos_phi))
     return tuple(zip(*columns))

@@ -70,7 +70,7 @@ def _frame(k: float, u: float, quarter: float, cn5: float, dn5: float) -> Pentag
     for j in range(5):
         sn, cn, _ = jacobi_triple(u + 0.8 * quarter * j, k)
         rows.append((cn / root_c, root_d * sn / root_c, 1.0))
-    return PentagonFrame(k=k, u=u, K=quarter, cn_fifth=cn5, dn_fifth=dn5, vectors=tuple(rows))
+    return PentagonFrame(k, u, quarter, cn5, dn5, tuple(rows))
 
 
 def frame_vectors(k: float, u: float) -> PentagonFrame:

@@ -86,12 +86,13 @@ def criterion_4(col: _Collector, rng) -> None:
             elliptic_kernel.am(elliptic_kernel.incomplete_F(phi, k), k) - phi))
         u = -3 * quarter + 6 * quarter * u_unit
         v = -3 * quarter + 6 * quarter * v_unit
-        added = elliptic_kernel.jacobi_sum(u, v, k)
+        # one triple each at u and v, for the addition theorem and the main formula
+        tu = elliptic_kernel.jacobi_triple(u, k)
+        tv = elliptic_kernel.jacobi_triple(v, k)
+        added = elliptic_kernel.jacobi_sum(tu, tv, k)
         direct = elliptic_kernel.jacobi_triple(u + v, k)
         worst_add = max(worst_add, abs(added.sn - direct.sn),
                         abs(added.cn - direct.cn), abs(added.dn - direct.dn))
-        tu = elliptic_kernel.jacobi_triple(u, k)
-        tv = elliptic_kernel.jacobi_triple(v, k)
         diff = elliptic_kernel.jacobi_triple(u - v, k)
         worst_main = max(worst_main, abs(
             diff.cn - (tu.cn * tv.cn + tu.sn * tv.sn * diff.dn)))

@@ -337,12 +337,12 @@ def scalar_draw_criterion_4(col, rng):
             elliptic_kernel.am(elliptic_kernel.incomplete_F(phi, k), k) - phi))
         u = rng.uniform(-3 * quarter, 3 * quarter)
         v = rng.uniform(-3 * quarter, 3 * quarter)
-        added = elliptic_kernel.jacobi_sum(u, v, k)
+        tu = elliptic_kernel.jacobi_triple(u, k)
+        tv = elliptic_kernel.jacobi_triple(v, k)
+        added = elliptic_kernel.jacobi_sum(tu, tv, k)
         direct = elliptic_kernel.jacobi_triple(u + v, k)
         worst_add = max(worst_add, abs(added.sn - direct.sn),
                         abs(added.cn - direct.cn), abs(added.dn - direct.dn))
-        tu = elliptic_kernel.jacobi_triple(u, k)
-        tv = elliptic_kernel.jacobi_triple(v, k)
         diff = elliptic_kernel.jacobi_triple(u - v, k)
         worst_main = max(worst_main, abs(
             diff.cn - (tu.cn * tv.cn + tu.sn * tv.sn * diff.dn)))

@@ -183,6 +183,35 @@ class TestSolveCharacteristic:
             assert [x.hex() for x in (s.G, s.Gp, s.Gpp)] == \
                 [x.hex() for x in reference(float(omega))], omega
 
+    def test_written_out_newton_matches_the_loop_bit_for_bit(self):
+        # the solver as it ran its two Newton steps in a loop, forming 1 - omega
+        # in each; inside the 1e-10 window both return the exact double root
+        def looped(omega):
+            if omega - OMEGA_CRITICAL < 1e-10:
+                return -GOLDEN, GOLDEN * GOLDEN / 2.0, GOLDEN * GOLDEN / 2.0
+            A, B, C = -1.0, (1.0 - omega) / 4.0, omega / 4.0
+            pc = B - A * A / 3.0
+            qc = 2.0 * A ** 3 / 27.0 - A * B / 3.0 + C
+            radius = 2.0 * math.sqrt(-pc / 3.0)
+            theta = math.acos(max(-1.0, min(1.0, 3.0 * qc / (pc * radius))))
+            polished = []
+            for j in range(3):
+                t = radius * math.cos((theta - 2.0 * math.pi * j) / 3.0) - A / 3.0
+                for _ in range(2):
+                    t -= ((((4.0 * t - 4.0) * t + (1.0 - omega)) * t + omega)
+                          / ((12.0 * t - 8.0) * t + (1.0 - omega)))
+                polished.append(t)
+            return tuple(sorted(polished))
+
+        window = [OMEGA_CRITICAL - 1e-12, OMEGA_CRITICAL, OMEGA_CRITICAL + 5e-11,
+                  math.nextafter(OMEGA_CRITICAL + 1e-10, 0.0), OMEGA_CRITICAL + 1e-10]
+        omegas = np.concatenate([window, OMEGA_CRITICAL + np.geomspace(1e-13, 1e-6, 500),
+                                 np.geomspace(OMEGA_CRITICAL, OMEGA_TOP, 5000), [OMEGA_TOP]])
+        for omega in omegas.tolist():
+            s = solve_characteristic(omega)
+            assert [x.hex() for x in (s.G, s.Gp, s.Gpp)] == \
+                [x.hex() for x in looped(omega)], omega
+
     def test_near_critical_continuity(self):
         # just above the exact-double-root window the full solve must agree
         s = solve_characteristic(OMEGA_CRITICAL + 1e-9)

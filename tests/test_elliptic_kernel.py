@@ -1,3 +1,4 @@
+import marshal
 import math
 import re
 import sys
@@ -238,18 +239,29 @@ class TestJacobiTriple:
             assert triple == tuple(triple) and repr(triple).startswith("JacobiTriple(sn=")
 
 
+def _reference_jacobi_sum(u, v, k):
+    # the addition theorem as it took the arguments u and v and made both triples itself
+    su, cu, du = jacobi_triple(u, k)
+    sv, cv, dv = jacobi_triple(v, k)
+    denom = 1.0 - (k * su * sv) ** 2
+    sn = (su * cv * dv + cu * sv * du) / denom
+    cn = (cu * cv - su * sv * du * dv) / denom
+    dn = (du * dv - k * k * su * sv * cu * cv) / denom
+    return sn, cn, dn
+
+
 class TestAdditionFormulas:
     def test_v_zero(self, rng):
         k = 0.3
         for u in rng.uniform(-5.0, 5.0, size=10):
-            s = jacobi_sum(u, 0.0, k)
+            s = jacobi_sum(jacobi_triple(u, k), jacobi_triple(0.0, k), k)
             d = jacobi_triple(u, k)
             assert tuple(s) == pytest.approx(tuple(d), abs=1e-14)
 
     def test_half_quarter_doubling(self):
         k = 0.8
-        quarter = complete_K(k)
-        s = jacobi_sum(quarter / 2, quarter / 2, k)
+        half = jacobi_triple(complete_K(k) / 2, k)
+        s = jacobi_sum(half, half, k)
         assert s.sn == pytest.approx(1.0, abs=1e-12)
         assert s.cn == pytest.approx(0.0, abs=1e-12)
         assert s.dn == pytest.approx(math.sqrt(1 - k * k), abs=1e-12)
@@ -258,17 +270,27 @@ class TestAdditionFormulas:
         k = 0.3
         for _ in range(400):
             u, v = rng.uniform(-8.0, 8.0, size=2)
-            s = jacobi_sum(u, v, k)
+            s = jacobi_sum(jacobi_triple(u, k), jacobi_triple(v, k), k)
             d = jacobi_triple(u + v, k)
             assert tuple(s) == pytest.approx(tuple(d), abs=1e-12)
 
-    def test_vanishing_denominator_is_a_kernel_fault(self, monkeypatch):
-        # denom >= 1 - k^2 for real triples; a broken triple sn = sqrt(2)
-        # drives 1 - (k sn_u sn_v)^2 to zero at k = 1/2
-        monkeypatch.setattr(elliptic_kernel, "jacobi_triple",
-                            lambda u, k: (math.sqrt(2.0), 0.0, 1.0))
-        with pytest.raises(InvariantError, match="denominator vanished"):
-            jacobi_sum(0.1, 0.2, 0.5)
+    def test_vanishing_denominator_is_a_kernel_fault(self):
+        # denom >= 1 - k^2 for the kernel's triples; a supplied triple with
+        # sn = sqrt(2) drives 1 - (k sn_u sn_v)^2 to zero at k = 1/2
+        broken = (math.sqrt(2.0), 0.0, 1.0)
+        with pytest.raises(InvariantError, match=re.escape(
+                "denominator vanished: -4.440892098500626e-16 at k=0.5; "
+                "the triples are not the kernel's")):
+            jacobi_sum(broken, broken, 0.5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(u=st.floats(-1e3, 1e3), v=st.floats(-1e3, 1e3), k=st.floats(0.0, MAX_MODULUS))
+    @example(u=0.0, v=-0.0, k=0.0)
+    @example(u=1e3, v=-1e3, k=MAX_MODULUS)
+    def test_triple_form_matches_the_argument_form_bit_for_bit(self, u, v, k):
+        expected = _reference_jacobi_sum(u, v, k)
+        got = jacobi_sum(jacobi_triple(u, k), jacobi_triple(v, k), k)
+        assert [x.hex() for x in got] == [x.hex() for x in expected]
 
     def test_main_formula(self, rng):
         for _ in range(200):
@@ -325,7 +347,7 @@ BAD_MODULI = [-0.1, math.nan, 1.0, math.nextafter(MAX_MODULUS, 2.0)]
 # every public entry point of the kernel, called at one argument x and modulus k
 ENTRY_POINTS = {"complete_K": lambda x, k: complete_K(k), "am": am,
                 "jacobi_triple": jacobi_triple, "incomplete_F": incomplete_F,
-                "jacobi_sum": lambda x, k: jacobi_sum(x, x, k)}
+                "jacobi_sum": lambda x, k: jacobi_sum((x, 1.0, 1.0), (x, 1.0, 1.0), k)}
 
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
@@ -420,6 +442,50 @@ def test_descent_matches_full_reference_bit_for_bit(k, rng):
         expected = (phi, sn, math.cos(phi), math.sqrt(1.0 - (k * sn) ** 2), _reference_F(u, k))
         got = (am(u, k), *jacobi_triple(u, k), incomplete_F(u, k))
         assert [x.hex() for x in got] == [x.hex() for x in expected], u
+
+
+def _reference_agm_phases(k):
+    # _agm_phases as it stepped the AGM through a tuple of the next (a, b, c),
+    # without the memo
+    a, b, c = 1.0, math.sqrt((1.0 - k) * (1.0 + k)), k
+    ratios, steps = [], []
+    for _ in range(64):
+        nxt = (0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b))
+        if abs(c) <= 2.5e-16 * a or abs(nxt[2]) >= abs(c):
+            break
+        steps.append((nxt[2], b))
+        a, b, c = nxt
+        ratios.append(c / a)
+    if steps and c == 0.0:
+        del ratios[-1], steps[-1]
+    ratios.reverse()
+    small = 0
+    while small < len(ratios) and abs(ratios[small]) < 2.0 ** -26:
+        small += 1
+    return (math.pi / (2.0 * a), math.ldexp(a, len(steps)),
+            tuple(ratios[:small]), tuple(ratios[small:]), tuple(steps))
+
+
+def test_agm_phases_match_tuple_loop_reference(rng):
+    # marshal format 2 (no object references) writes each double as its 8
+    # bytes, so equal dumps are equal bits, -0.0 and 0.0 told apart, at a
+    # fortieth of repr's cost; the moduli cover both ends of the domain,
+    # 1 - 10^-x for x = 1..12, and uniform, log-small and log-near-one draws between
+    ks = [0.0, 5e-324, 1e-300, MAX_MODULUS, math.nextafter(MAX_MODULUS, 0.0)]
+    ks += [1.0 - 10.0 ** -x for x in range(1, 13)]
+    ks += (MAX_MODULUS * rng.random(40_000)).tolist()
+    ks += (10.0 ** rng.uniform(-320.0, 0.0, 30_000)).tolist()
+    ks += (1.0 - 10.0 ** rng.uniform(-12.0, 0.0, 30_000)).tolist()
+    ks = [k for k in ks if 0.0 <= k <= MAX_MODULUS]
+    assert len(ks) >= 100_000
+    memo = dict(_PHASES)
+    try:
+        for k in ks:
+            assert marshal.dumps(elliptic_kernel._agm_phases(k), 2) == \
+                marshal.dumps(_reference_agm_phases(k), 2), k
+    finally:
+        _PHASES.clear()
+        _PHASES.update(memo)
 
 
 def _mpmath_F(phi, k):
