@@ -487,11 +487,13 @@ def main(argv=None, out=None) -> int:
         _refuse_dropped(args, parser.error)
     try:
         try:
-            args.tol = _tol_override(args)
+            override = _tol_override(args)
+            if args.func is cmd_verify_all:  # the one mode with --tol records it as an input
+                args.tol = override
             report = args.func(args, out)
             if report is not None:
                 if args.func is not cmd_verify_all:  # verify-all applies it per criterion
-                    report.checks = _apply_override(report.checks, args.tol)
+                    report.checks = _apply_override(report.checks, override)
                 out.write((report_json(report) if args.json else report_text(report)) + "\n")
             out.flush()
         except (DomainError, GeometryError) as exc:

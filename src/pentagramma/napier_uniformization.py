@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 from . import cone_spectrum
 from .elliptic_kernel import MAX_MODULUS, complete_K, jacobi_triple
@@ -32,10 +31,10 @@ class PentagonFrame:
     cn_fifth: float   # cn(2K/5) > 0
     dn_fifth: float   # dn(2K/5)
     vectors: tuple[tuple[float, float, float], ...]  # five rows r_j; third entry exactly 1
+    # (|a x b|^2, a.b, |a|^2 |b|^2) per chord a = r_j, b = r_{j+1}; computed and checked when made
+    chords: tuple[tuple[float, float, float], ...] = field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def chords(self) -> tuple[tuple[float, float, float], ...]:
-        """(|a x b|^2, a.b, |a|^2 |b|^2) for each chord a = r_j, b = r_{j+1}; one pass a frame."""
+    def __post_init__(self):
         out = []
         for j in range(5):
             ax, ay, az = self.vectors[j]
@@ -49,7 +48,7 @@ class PentagonFrame:
             cz = ax * by - ay * bx
             out.append((cx * cx + cy * cy + cz * cz, dot,
                         (ax * ax + ay * ay + az * az) * (bx * bx + by * by + bz * bz)))
-        return tuple(out)
+        object.__setattr__(self, "chords", tuple(out))
 
 
 def _lattice(k: float) -> tuple[float, float, float]:

@@ -566,15 +566,22 @@ def test_modes_read_their_options(tmp_path, monkeypatch):
     assert code == 0 and len((tmp_path / "w.csv").read_text().splitlines()) == 5
 
 
-@pytest.mark.parametrize("argv, code, error, inputs", [
-    (["bridge", "--omega", "5"], 4, "SubcriticalError", {"omega": 5.0}),
+_ERROR_CASES = [
+    ("bridge", ["bridge", "--omega", "5"], 4, "SubcriticalError", {"omega": 5.0}),
     # the search reads no --a and draws no walk: those options are not listed
-    (["poncelet", "--R", "1", "--r", "0.4", "--solve", "5", "2"], 5, "NoSolutionError",
-     {"R": 1.0, "r": 0.4, "solve": [5, 2]}),
-    (["poncelet", "--R", "1", "--r", "1.5", "--solve", "5", "2"], 2, "GeometryError",
-     {"R": 1.0, "r": 1.5, "solve": [5, 2]})],
-    ids=["bridge", "poncelet", "poncelet-unnested"])
-def test_error_reaches_json_consumers(argv, code, error, inputs, capsys):
+    ("poncelet", ["poncelet", "--R", "1", "--r", "0.4", "--solve", "5", "2"], 5,
+     "NoSolutionError", {"R": 1.0, "r": 0.4, "solve": [5, 2]}),
+    ("poncelet-unnested", ["poncelet", "--R", "1", "--r", "1.5", "--solve", "5", "2"], 2,
+     "GeometryError", {"R": 1.0, "r": 1.5, "solve": [5, 2]})]
+
+
+# PENTAGRAMMA_TOL is not an input of these modes, which have no --tol: it is not listed
+@pytest.mark.parametrize("argv, code, error, inputs, env", [
+    pytest.param(argv, code, error, inputs, env, id=name + ("-PENTAGRAMMA_TOL" if env else ""))
+    for env in (None, "1e-3") for name, argv, code, error, inputs in _ERROR_CASES])
+def test_error_reaches_json_consumers(argv, code, error, inputs, env, capsys, monkeypatch):
+    if env is not None:
+        monkeypatch.setenv("PENTAGRAMMA_TOL", env)
     # stdout carried nothing for these under --json; the stderr text is unchanged
     assert run_cli(argv) == (code, "")
     text_err = capsys.readouterr().err

@@ -101,7 +101,8 @@ class TestSweepFrames:
 
     @pytest.mark.parametrize("seed, samples", [(0, 1), (4, 6), (11, 20), (2024, 37)])
     def test_each_frame_is_frame_vectors(self, seed, samples):
-        # the sweep shares each k's lattice constants among its frames, bit for bit
+        # the sweep shares each k's lattice constants among its frames, bit for bit,
+        # and each frame's chords equal frame_vectors' too
         count = 0
         for count, frame in enumerate(sweep_frames(np.random.default_rng(seed), samples), 1):
             assert type(frame.u) is float
@@ -193,9 +194,16 @@ def hand_frame(*rows):
 class TestChordGuards:
     @pytest.mark.parametrize("sequence", [alpha_sequence, beta_sequence])
     def test_orthogonal_rays_named(self, sequence):
-        frame = hand_frame((1.0, 0.0, 1.0), (-1.0, 0.0, 1.0))
+        # refused when made, by the constructor and by replace, before either
+        # sequence could read it; the frame it was replaced from still reads
         with pytest.raises(ChordDegenerateError, match="rays 0 and 1 orthogonal"):
-            sequence(frame)
+            hand_frame((1.0, 0.0, 1.0), (-1.0, 0.0, 1.0))
+        frame = frame_vectors(0.5, 0.3)
+        rows = ((1.0, 0.0, 1.0),) * 3 + ((-1.0, 0.0, 1.0), (1.0, 0.0, 1.0))
+        with pytest.raises(ChordDegenerateError,
+                           match=r"rays 2 and 3 orthogonal within 1e-12 at \(k=0.5, u=0.3\)"):
+            dataclasses.replace(frame, vectors=rows)
+        assert sequence(frame) == sequence(frame_vectors(0.5, 0.3))
 
     def test_nearly_orthogonal_alpha_overflows(self):
         # a.b = 1e-6 passes the orthogonality guard; alpha ~ 4e12 exceeds ALPHA_MAX
@@ -216,28 +224,29 @@ class TestChordGuards:
 class TestChordPass:
     def test_alpha_and_beta_share_one_pass(self):
         f = frame_vectors(0.5, 0.3)
-        alpha_sequence(f)
-        chords = vars(f)["chords"]
-        assert chords == PentagonFrame.chords.func(f)
-        # beta_sequence reads the stored pass: doctored entries show through
-        vars(f)["chords"] = [(c, d, 2.0 * n) for c, d, n in chords]
-        assert beta_sequence(f) == tuple(c / (2.0 * n) for c, _, n in chords)
-        assert f == frame_vectors(0.5, 0.3)
+        chords = f.chords
+        assert chords == PentagonFrame(f.k, f.u, f.K, f.cn_fifth, f.dn_fifth, f.vectors).chords
+        # both sequences read the stored pass: doctored entries show through
+        object.__setattr__(f, "chords", tuple((2.0 * c, d, n) for c, d, n in chords))
+        assert alpha_sequence(f).alphas == tuple(2.0 * c / (d * d) for c, d, _ in chords)
+        assert beta_sequence(f) == tuple(2.0 * c / n for c, _, n in chords)
 
     def test_replaced_frame_recomputes(self):
         f = frame_vectors(0.5, 0.3)
         first = f.chords
         moved = dataclasses.replace(f, vectors=frame_vectors(0.5, 0.7).vectors)
-        assert "chords" not in vars(moved)
         assert moved.chords == frame_vectors(0.5, 0.7).chords != first
         assert f.chords is first
 
-    def test_degenerate_frame_raises_on_every_access(self):
-        frame = hand_frame((1.0, 0.0, 1.0), (-1.0, 0.0, 1.0))
-        for sequence in (alpha_sequence, beta_sequence, alpha_sequence):
-            with pytest.raises(ChordDegenerateError, match="rays 0 and 1 orthogonal"):
-                sequence(frame)
-        assert "chords" not in vars(frame)
+    def test_degenerate_frame_raises_when_made(self, monkeypatch):
+        # frame_vectors makes no frame without its chords: a kernel giving rows
+        # (1, 0, 1) and (-1, 0, 1) next to each other is refused in the build
+        triples = iter([(0.0, 1.0, 1.0)] * 2 + [(0.0, -1.0, 1.0)] + [(0.0, 1.0, 1.0)] * 3)
+        monkeypatch.setattr(napier_uniformization, "jacobi_triple",
+                            lambda u, k: next(triples))
+        with pytest.raises(ChordDegenerateError,
+                           match=r"rays 0 and 1 orthogonal within 1e-12 at \(k=0.7, u=0.2\)"):
+            frame_vectors(0.7, 0.2)
 
 
 def numpy_chords(f):
