@@ -1,0 +1,47 @@
+"""The output corpus tool's readers and diffs, without running the corpus."""
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).parent.parent
+_spec = importlib.util.spec_from_file_location("outputs", ROOT / "tools" / "outputs.py")
+outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(outputs)
+
+
+def test_json_moves_name_each_key_path():
+    before = {"exit": 0, "stdout": b'{"inputs": {"R": 1, "seed": 0}, "residuals": '
+                                   b'{"03.critical.G": {"value": 0}}, "warnings": [1, 2]}\n'}
+    after = {"exit": 2, "stdout": b'{"inputs": {"R": 1, "solve": [5, 2]}, "residuals": '
+                                  b'{"03.critical.G": {"value": 3.552713678800501e-15}}, '
+                                  b'"warnings": [1]}\n'}
+    assert list(outputs.moved_values(before, after)) == [
+        "exit 0 → 2",
+        "stdout inputs.seed: 0 → (absent)",
+        "stdout inputs.solve.0: (absent) → 5",
+        "stdout inputs.solve.1: (absent) → 2",
+        "stdout residuals.03.critical.G.value: 0 → 3.552713678800501e-15",
+        "stdout warnings.1: 2 → (absent)"]
+    assert list(outputs.moved_values(before, dict(before))) == []
+
+
+def test_text_moves_name_the_first_line_and_the_count():
+    before = {"exit": 0, "stdout": b"{}\n", "walk.csv": b"i,phi\n0,0\n1,0.5\n2,1\n",
+              "stderr": b"usage: pentagramma poncelet\n"}
+    after = {"exit": 0, "stdout": b"{} \n", "walk.csv": b"i,phi\n0,0\n1,0.25\n2,1.5\n3,2\n"}
+    assert list(outputs.moved_values(before, after)) == [
+        "stderr line 1: 'usage: pentagramma poncelet\\n' → '' (moved lines: 1)",
+        # the same JSON value in other bytes is named by its lines
+        "stdout line 1: '{}\\n' → '{} \\n' (moved lines: 1)",
+        "walk.csv line 3: '1,0.5\\n' → '1,0.25\\n' (moved lines: 3)"]
+
+
+def test_corpus_reads_the_readme_examples():
+    examples = outputs.readme_examples(ROOT)
+    assert [args[0] for args in examples] == [
+        "pentagram", "napier", "napier", "bridge", "bridge", "poncelet", "poncelet",
+        "verify-all"]
+    assert examples[0] == ["pentagram", "--alpha", "9", "--gamma", "2"]
+    assert examples[-1] == ["verify-all"]
+    runs = outputs.corpus(ROOT)
+    assert runs[:2] == [(examples[0], 0, None), ([*examples[0], "--json"], 0, None)]
+    assert runs[14:16] == [(["verify-all"], 1, None), (["verify-all", "--json"], 1, None)]
