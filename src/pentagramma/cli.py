@@ -247,7 +247,7 @@ def _napier_row(frame):
 
 
 def cmd_napier(args, out) -> RunReport | None:
-    """The report of one frame, or None once the --grid CSV is written."""
+    """The report of one frame, or of the --grid CSV file under --json; else None."""
     if args.grid:
         import numpy as np
 
@@ -260,12 +260,16 @@ def cmd_napier(args, out) -> RunReport | None:
         header = (["k", "u"] + [f"alpha_{j}" for j in range(5)]
                   + [f"beta_{j}" for j in range(5)]
                   + ["law_residual", "five_term_residual"])
-        if args.csv:
-            with _output_file(args.csv) as handle:
-                count = _write_csv(handle, header, rows())
-            out.write(f"wrote {count} rows to {args.csv}\n")
-        else:
+        if not args.csv:
             _write_csv(out, header, rows())
+            return None
+        with _output_file(args.csv) as handle:
+            count = _write_csv(handle, header, rows())
+        if args.json:
+            return RunReport(command="napier",
+                             inputs={"grid": True, "samples": args.samples, "seed": args.seed},
+                             outputs={"rows": count, "csv": args.csv})
+        out.write(f"wrote {count} rows to {args.csv}\n")
         return None
 
     frame = frame_vectors(args.k, args.u)

@@ -17,7 +17,7 @@ from .errors import NoSolutionError
 
 PI = math.pi
 
-# u draws per modulus of the pentagon-law and five-term sweeps
+# u draws per modulus of the (k, u) sweep
 _SAMPLES_PER_K = 20
 
 
@@ -112,12 +112,15 @@ def criterion_4(col: _Collector, rng) -> None:
 
 
 def criterion_5(col: _Collector, rng) -> None:
-    """Pentagon law on the (k, u) grid; regular values at k = 0."""
-    worst_law = 0.0
+    """Pentagon law and five-term sum on each (k, u) grid frame; regular values at k = 0."""
+    worst_law = worst_sum = 0.0
     for frame in napier_uniformization.sweep_frames(rng, _SAMPLES_PER_K):
         cycle = napier_uniformization.alpha_sequence(frame)
         worst_law = max(worst_law, max(abs(r) for r in cycle.relation_residuals()))
+        worst_sum = max(worst_sum, abs(dilogarithm.pentagon_five_term(
+            napier_uniformization.beta_sequence(frame))))
     col.add("law.grid", worst_law, 1e-10)
+    col.add("dilog.pentagon_sum", worst_sum, 1e-10)
 
     frame = napier_uniformization.frame_vectors(0.0, float(rng.uniform(0.0, 2.0)))
     a = napier_uniformization.alpha_sequence(frame).alphas
@@ -216,7 +219,7 @@ def criterion_8(col: _Collector, rng) -> None:
 
 
 def criterion_9(col: _Collector, rng) -> None:
-    """Dilogarithm values and series, the two functional equations, the pentagon sum."""
+    """Dilogarithm values and series, and the two functional equations."""
     col.add("dilog.landen", abs(dilogarithm.rogers_L(1.0 / GOLDEN) - PI ** 2 / 10),
             1e-12)
     col.add("dilog.series", max(abs(dilogarithm.li2(x) - oracles.li2_series(x))
@@ -229,12 +232,6 @@ def criterion_9(col: _Collector, rng) -> None:
         abs(dilogarithm.spence_residual(x, y))
         for x, y in rng.uniform(1e-6, 1.0 - 1e-6, size=(1000, 2)).tolist())
     col.add("dilog.spence", worst_spence, 1e-11)
-
-    worst_sum = 0.0
-    for frame in napier_uniformization.sweep_frames(rng, _SAMPLES_PER_K):
-        worst_sum = max(worst_sum, abs(dilogarithm.pentagon_five_term(
-            napier_uniformization.beta_sequence(frame))))
-    col.add("dilog.pentagon_sum", worst_sum, 1e-10)
 
 
 def criterion_10(col: _Collector, rng) -> None:
@@ -262,11 +259,11 @@ CRITERIA = {
     2: ("spectral roots at omega = 20", criterion_2),
     3: ("critical omega and double root", criterion_3),
     4: ("elliptic kernel identities and quadrature oracle", criterion_4),
-    5: ("pentagon law on the modulus grid", criterion_5),
+    5: ("pentagon law and five-term sum on the modulus grid", criterion_5),
     6: ("spectral-modulus bridge", criterion_6),
     7: ("planar projection identities", criterion_7),
     8: ("Poncelet closure and porism", criterion_8),
-    9: ("dilogarithm identities and pentagon sum", criterion_9),
+    9: ("dilogarithm identities", criterion_9),
     10: ("Napier rules on oracle and pentagon triangles", criterion_10),
 }
 

@@ -21,7 +21,8 @@ import mpmath
 import pytest
 
 from battery_outcomes import CRITERION_8_FAILING
-from pentagramma import dilogarithm, pentagram_algebra, poncelet, verify
+from pentagramma import (dilogarithm, napier_uniformization, pentagram_algebra,
+                         poncelet, verify)
 from pentagramma.cli import main
 from pentagramma.oracles import rotation_number
 
@@ -115,6 +116,27 @@ def test_criterion_9_sees_a_wrong_li2(monkeypatch):
     monkeypatch.setattr(dilogarithm, "li2", lambda x: li2(x) * (1.0 + 1e-12))
     checks = {c.name: c for c in verify.run_criterion(9, seed=0)}
     assert not checks["dilog.series"].passed
+
+
+@pytest.mark.parametrize("module, name, wrong, failing, passing", [
+    (dilogarithm, "_li2_and_log_product",
+     lambda f: lambda x: (f(x)[0] * (1.0 + 1e-9), f(x)[1]),
+     "dilog.pentagon_sum", "law.grid"),
+    (napier_uniformization, "beta_sequence",
+     lambda f: lambda frame: tuple(b * (1.0 + 1e-9) for b in f(frame)),
+     "dilog.pentagon_sum", "law.grid"),
+    (napier_uniformization, "alpha_sequence",
+     lambda f: lambda frame: pentagram_algebra.AlphaCycle(
+         tuple(a * (1.0 + 1e-9) for a in f(frame).alphas)),
+     "law.grid", "dilog.pentagon_sum"),
+], ids=["li2", "betas", "alphas"])
+def test_criterion_5_sees_a_wrong_layer(module, name, wrong, failing, passing, monkeypatch):
+    # one layer off by 1e-9 relative moves its identity past 1e-10 on the
+    # sweep's frames, and leaves the other identity of the same frames alone
+    monkeypatch.setattr(module, name, wrong(getattr(module, name)))
+    checks = {c.name: c for c in verify.run_criterion(5, seed=0)}
+    assert not checks[failing].passed
+    assert checks[passing].passed
 
 
 def test_rotation_number_against_mpmath():

@@ -111,22 +111,31 @@ class TestSweepFrames:
                 assert getattr(frame, field.name) == getattr(want, field.name), field.name
         assert count == len(K_GRID) * samples
 
-    @pytest.mark.parametrize("number, want", [(5, K_GRID), (6, K_GRID[1:]), (9, K_GRID)])
+    @pytest.mark.parametrize("number, want", [(5, K_GRID), (6, K_GRID[1:]), (9, ())])
     def test_battery_frames_use_the_grid(self, number, want, monkeypatch):
-        # the k of every frame a criterion reads, at alpha_sequence or beta_sequence
+        # the k of every frame a criterion reads, at alpha_sequence or beta_sequence;
+        # criterion 5 reads both on each frame of its one sweep, and criterion 9 none
         seen = []
 
-        def recording(read):
+        def recording(name, read):
             def record(frame):
-                seen.append(frame.k)
+                seen.append((name, frame))
                 return read(frame)
             return record
 
         for name in ("alpha_sequence", "beta_sequence"):
             monkeypatch.setattr(napier_uniformization, name,
-                                recording(getattr(napier_uniformization, name)))
+                                recording(name, getattr(napier_uniformization, name)))
         verify.run_criterion(number)
-        assert tuple(dict.fromkeys(seen)) == want
+        assert tuple(dict.fromkeys(frame.k for _, frame in seen)) == want
+        if number == 5:
+            sweep = seen[:-1]  # the last read is the regular frame's alpha_sequence
+            assert [name for name, _ in sweep] == (
+                ["alpha_sequence", "beta_sequence"] * (len(K_GRID) * 20))
+            assert all(a is b for (_, a), (_, b) in zip(sweep[::2], sweep[1::2]))
+            # the frames of sweep_frames on criterion 5's own stream, in its order
+            want_frames = sweep_frames(np.random.default_rng(5), 20)
+            assert [(f.k, f.u) for _, f in sweep[::2]] == [(f.k, f.u) for f in want_frames]
 
 
 class TestAlphaSequence:
