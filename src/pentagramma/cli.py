@@ -249,6 +249,9 @@ def _napier_row(frame):
 def cmd_napier(args, out) -> RunReport | None:
     """The report of one frame, or of the --grid CSV file under --json; else None."""
     if args.grid:
+        if args.json and not args.csv:
+            raise DomainError("napier --grid --json needs --csv FILE: the grid's rows go "
+                              "to that file and its JSON report to stdout")
         import numpy as np
 
         def rows():

@@ -97,20 +97,18 @@ def solve_characteristic(omega: float) -> SpectralTriple:
         half_sq = GOLDEN * GOLDEN / 2.0
         return SpectralTriple(-GOLDEN, half_sq, half_sq, omega)
 
-    # monic form t^3 + A t^2 + B t + C, depressed by t = s - A/3
-    A = -1.0
+    # monic form t^3 - t^2 + B t + omega/4, depressed by t = s + 1/3
     linear = 1.0 - omega  # the cubic's t coefficient, 4B
     B = linear / 4.0
-    C = omega / 4.0
-    pc = B - A * A / 3.0
-    qc = 2.0 * A ** 3 / 27.0 - A * B / 3.0 + C
+    pc = B - 1.0 / 3.0
+    qc = -2.0 / 27.0 + B / 3.0 + omega / 4.0
     radius = 2.0 * math.sqrt(-pc / 3.0)
     arg = 3.0 * qc / (pc * radius)
     arg = max(-1.0, min(1.0, arg))
     theta = math.acos(arg)
     polished = []
     for j in range(3):
-        t = radius * math.cos((theta - 2.0 * math.pi * j) / 3.0) - A / 3.0
+        t = radius * math.cos((theta - 2.0 * math.pi * j) / 3.0) + 1.0 / 3.0
         # two Newton steps on the cubic and its derivative, both in Horner form
         t -= (((4.0 * t - 4.0) * t + linear) * t + omega) / ((12.0 * t - 8.0) * t + linear)
         t -= (((4.0 * t - 4.0) * t + linear) * t + omega) / ((12.0 * t - 8.0) * t + linear)

@@ -25,22 +25,22 @@ _BERNOULLI_COEFFS = (
 )
 
 
-def _li2_and_log_product(x: float) -> tuple[float, float]:
-    """Li2(x) and ln x ln(1-x) for x in [0, 1], both from one log pair.
+def _li2_and_rogers(x: float) -> tuple[float, float]:
+    """Li2(x) and the Rogers L(x) = Li2(x) + (1/2) ln x ln(1-x) for x in [0, 1].
 
     Li2(x) = sum_n B_n z^(n+1)/(n+1)! with z = -ln(1-x) ('t Hooft and
     Veltman 1979): z - z^2/4 + z^3 P(z^2), whose terms fall like
     (z/2pi)^2n.  Every term carries a factor z, so tiny x keeps its digits.
     The series runs on z = -ln(1-x) up to 1/2 and, reflected through
     Li2(x) = pi^2/6 - ln x ln(1-x) - Li2(1-x), on z = -ln x above it, so
-    z never exceeds ln 2.
+    z never exceeds ln 2.  The reflection and L share one log pair.
     """
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"li2 argument {x!r} outside [0, 1]")
     if x == 0.0:
         return 0.0, 0.0
     if x == 1.0:
-        return PI2_6, 0.0
+        return PI2_6, PI2_6
     log_x, log_1mx = math.log(x), math.log1p(-x)
     product = log_x * log_1mx
     z = -log_x if x > 0.5 else -log_1mx
@@ -48,20 +48,18 @@ def _li2_and_log_product(x: float) -> tuple[float, float]:
     w = z * z
     series = z - 0.25 * w + z * w * (c1 + w * (c2 + w * (c3 + w * (c4 + w * (
         c5 + w * (c6 + w * (c7 + w * (c8 + w * (c9 + w * c10)))))))))
-    if x > 0.5:
-        return PI2_6 - product - series, product
-    return series, product
+    value = PI2_6 - product - series if x > 0.5 else series
+    return value, value + 0.5 * product
 
 
 def li2(x: float) -> float:
     """Euler dilogarithm on [0, 1], within 1e-15 relative down to the tiniest x."""
-    return _li2_and_log_product(float(x))[0]
+    return _li2_and_rogers(float(x))[0]
 
 
 def rogers_L(x: float) -> float:
     """Rogers dilogarithm Li2(x) + (1/2) ln x ln(1-x), with L(0)=0, L(1)=pi^2/6."""
-    value, product = _li2_and_log_product(float(x))
-    return value + 0.5 * product
+    return _li2_and_rogers(float(x))[1]
 
 
 def spence_residual(x: float, y: float) -> float:
@@ -71,15 +69,9 @@ def spence_residual(x: float, y: float) -> float:
         if not 0.0 < v < 1.0:
             raise DomainError(f"spence argument {v!r} outside (0, 1)")
     xy = x * y
-    # L(v) = Li2(v) + 0.5 ln v ln(1-v), each bracketed as rogers_L forms it, so the
-    # sum is bit for bit the five rogers_L calls
-    lx, px = _li2_and_log_product(x)
-    ly, py = _li2_and_log_product(y)
-    lxy, pxy = _li2_and_log_product(xy)
-    l1, p1 = _li2_and_log_product(x * (1.0 - y) / (1.0 - xy))
-    l2, p2 = _li2_and_log_product(y * (1.0 - x) / (1.0 - xy))
-    return ((lx + 0.5 * px) + (ly + 0.5 * py) - (lxy + 0.5 * pxy)
-            - (l1 + 0.5 * p1) - (l2 + 0.5 * p2))
+    return (_li2_and_rogers(x)[1] + _li2_and_rogers(y)[1] - _li2_and_rogers(xy)[1]
+            - _li2_and_rogers(x * (1.0 - y) / (1.0 - xy))[1]
+            - _li2_and_rogers(y * (1.0 - x) / (1.0 - xy))[1])
 
 
 def pentagon_five_term(betas) -> float:
@@ -91,6 +83,5 @@ def pentagon_five_term(betas) -> float:
     for v in betas:
         if not 0.0 < v < 1.0:
             raise DomainError(f"beta value {v!r} outside (0, 1)")
-        value, product = _li2_and_log_product(float(v))
-        total += value + 0.5 * product
+        total += _li2_and_rogers(float(v))[1]
     return total - PI2_2

@@ -147,8 +147,7 @@ def criterion_6(col: _Collector, rng) -> None:
 
 
 def _projection_cases(rng):
-    k20 = cone_spectrum.modulus_from_spectrum(
-        cone_spectrum.solve_characteristic(20.0))[0]
+    k20 = napier_uniformization.k_of_omega(20.0)
     for k in (0.2, 0.5, k20):
         for u in rng.uniform(0.1, 1.0, size=3):
             frame = napier_uniformization.frame_vectors(k, float(u))

@@ -5,8 +5,9 @@ A 5/2 star needs r <= R cos(2 pi/5) ~ 0.309 R, so that input has no closing
 configuration: these two checks report residual inf with the NoSolutionError
 message, and every other check of the battery passes.
 
-CI reads a verify-all --json document through departures, with this directory
-on PYTHONPATH, so the module imports nothing outside the standard library.
+tools/outputs.py reads each verify-all --json document of its corpus through
+departures, and CI runs that tool on the runtime dependencies alone, so the
+module imports nothing outside the standard library.
 """
 
 CRITERION_8_FAILING = frozenset({

@@ -137,6 +137,18 @@ class TestNapier:
             "status": "pass", "warnings": []}
         assert len(target.read_text().splitlines()) == 1 + 30
 
+    def test_grid_json_needs_csv(self, tmp_path, monkeypatch, capsys):
+        # a JSON report of the grid is a report of its file: without --csv it is a
+        # domain error, met before any frame is drawn, and no CSV reaches stdout
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "sweep_frames", lambda *args: pytest.fail("drew a frame"))
+        code, output = run_cli(["napier", "--grid", "--samples", "3", "--json"])
+        assert code == 2
+        doc = assert_error_document(output, "napier", "DomainError", capsys.readouterr().err)
+        assert doc["inputs"] == {"grid": True, "samples": 3, "seed": 0}
+        assert "--csv" in doc["message"]
+        assert list(tmp_path.iterdir()) == []
+
     def test_grid_zero_samples_header_only(self, tmp_path):
         header = ("k,u,alpha_0,alpha_1,alpha_2,alpha_3,alpha_4,beta_0,beta_1,beta_2,"
                   "beta_3,beta_4,law_residual,five_term_residual\n")
@@ -563,7 +575,8 @@ def test_dropped_option_is_refused(argv, message, tmp_path, monkeypatch, capsys)
 def test_modes_read_their_options(tmp_path, monkeypatch):
     # each option with the mode that reads it, and the defaults when it is not given
     monkeypatch.chdir(tmp_path)
-    assert run_cli(["napier", "--grid", "--samples", "1", "--seed", "2", "--json"])[0] == 0
+    assert run_cli(["napier", "--grid", "--samples", "1", "--seed", "2", "--csv", "g.csv",
+                    "--json"])[0] == 0
     doc = json.loads(run_cli(["napier", "--json"])[1])
     assert doc["inputs"] == {"k": 0.0, "u": 0.0}
     code, _ = run_cli(["poncelet", "--R", "1", "--r", "0.3", "--solve", "5", "2",
@@ -615,7 +628,8 @@ def test_unwritable_output_path(argv, flag, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, lead", [
-    (["napier", "--grid", "--samples", "100", "--json"], ""),
+    (["napier", "--grid", "--samples", "100", "--json"],
+     "domain error: napier --grid --json needs --csv FILE"),
     (["napier", "--grid", "--samples", "100"], ""),
     (["poncelet", "--R", "1", "--r", "0.4", "--solve", "5", "2", "--json"],
      "search failed: inner radius r=0.4 is beyond the concentric limit")],
@@ -645,7 +659,7 @@ def test_closed_stdout(argv, lead):
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
 @pytest.mark.parametrize("argv, lead", [
     (["bridge", "--omega", "20", "--json"], ""),
-    (["napier", "--grid", "--samples", "2", "--json"], ""),
+    (["napier", "--grid", "--samples", "2"], ""),
     (["bridge", "--omega", "5", "--json"],
      "subcritical: omega=5.0 below the critical value")],
     ids=["report", "grid", "subcritical"])

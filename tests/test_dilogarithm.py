@@ -120,6 +120,16 @@ class TestRogersL:
         assert rogers_L(0.0) == 0.0
         assert rogers_L(1.0) == pytest.approx(math.pi ** 2 / 6, abs=1e-15)
 
+    # L is formed from Li2 by one formula, Li2 + 0.5 (ln x ln(1-x)), bit for bit
+    @pytest.mark.parametrize("x", EDGE_POINTS[:-1])
+    def test_is_li2_plus_the_log_product_at_edges(self, x):
+        assert rogers_L(x) == li2(x) + 0.5 * (math.log(x) * math.log1p(-x))
+
+    @given(open_unit_interval)
+    @settings(max_examples=300, derandomize=True)
+    def test_is_li2_plus_the_log_product(self, x):
+        assert rogers_L(x) == li2(x) + 0.5 * (math.log(x) * math.log1p(-x))
+
     # from the smallest normal float: below it L(x) ~ x ln(1/x) is subnormal
     @given(st.floats(min_value=sys.float_info.min, max_value=math.nextafter(1.0, 0.0)))
     @settings(max_examples=300)

@@ -1,5 +1,6 @@
 """The output corpus tool's readers and diffs, without running the corpus."""
 import importlib.util
+import json
 from pathlib import Path
 
 ROOT = Path(__file__).parent.parent
@@ -45,3 +46,29 @@ def test_corpus_reads_the_readme_examples():
     runs = outputs.corpus(ROOT)
     assert runs[:2] == [(examples[0], 0, None), ([*examples[0], "--json"], 0, None)]
     assert runs[14:16] == [(["verify-all"], 1, None), (["verify-all", "--json"], 1, None)]
+
+
+def test_check_reads_each_battery_document():
+    # a verify-all --json run is a problem when its document departs from the
+    # battery's documented outcome, though its exit code is the expected 1
+    args = ["verify-all", "--seed", "3", "--json"]
+    statuses = {f"criterion_{n:02d}": "fail" if n == 8 else "pass" for n in range(1, 11)}
+    residuals = {"01.example.cycle": {"value": 0.0, "tol": 1e-14},
+                 "08.poncelet.search(5,2,R=1,r=0.4)": {"value": "inf", "tol": 1e-8},
+                 "08.poncelet.search_residual(5,2,R=1,r=0.4)": {"value": "inf", "tol": 1e-12}}
+
+    def problems(doc):
+        run = {"exit": 1, "stdout": json.dumps(doc).encode() if doc else b""}
+        return outputs.run_problems(args, 1, None, run, dict(run))
+
+    assert problems({"outputs": statuses, "residuals": residuals}) == []
+    extra = {**residuals, "05.law.grid": {"value": 2e-10, "tol": 1e-10}}
+    assert problems({"outputs": statuses, "residuals": extra}) == [
+        "verify-all --seed 3 --json: failing checks ['05.law.grid', "
+        "'08.poncelet.search(5,2,R=1,r=0.4)', '08.poncelet.search_residual(5,2,R=1,r=0.4)'], "
+        "expected ['08.poncelet.search(5,2,R=1,r=0.4)', "
+        "'08.poncelet.search_residual(5,2,R=1,r=0.4)']"]
+    wrong = problems({"outputs": {**statuses, "criterion_02": "fail"}, "residuals": residuals})
+    assert len(wrong) == 1 and wrong[0].startswith("verify-all --seed 3 --json: statuses ")
+    assert problems(None) == [
+        "verify-all --seed 3 --json: no battery document on stdout"]

@@ -6,7 +6,9 @@
 Each run is `python -m pentagramma.cli` with PYTHONPATH=TREE/src, in a fresh
 directory that keeps its written files, at most two runs at a time.  `check`
 runs the corpus twice and fails on an unexpected exit code or --json error type,
-or on any byte of stdout, stderr or a written file that moved between the runs.
+on a verify-all --json document that departs from the battery's documented
+outcome (tests/battery_outcomes.py), or on any byte of stdout, stderr or a
+written file that moved between the runs.
 `compare` runs HEAD's corpus once on each tree and prints each moved value.
 """
 import itertools
@@ -18,6 +20,10 @@ import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+
+# the battery's documented outcome, beside the tests; it imports the standard library only
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from battery_outcomes import departures  # noqa: E402
 
 # (arguments, exit code, the --json document's "error" type or None), after the
 # README examples and verify-all at seeds 0-9, each plain and --json
@@ -56,6 +62,8 @@ FIXED = [
     ("napier --grid --u 0.3 --json", 2, None),
     ("napier --k 0.5 --u 0.3 --seed 3 --json", 2, None),
     ("napier --k 0.5 --u 0.3 --samples 7 --json", 2, None),
+    # a JSON report of the grid is a report of its --csv file
+    ("napier --grid --json", 2, "DomainError"),
     ("poncelet --R 1 --r 0.3 --a 0.1 --solve 5 2 --json", 2, None),
     ("poncelet --R 1 --r 0.3 --solve 5 2 --steps 10 --json", 2, None),
     ("poncelet --R 1 --r 0.5 --a 0.2 --phi0 -3 --json", 2, None),
@@ -103,19 +111,29 @@ def run_all(jobs):
         return list(pool.map(lambda job: run(*job), jobs))
 
 
+def run_problems(args, code, error, first, second):
+    """What is wrong with one run of the corpus, given its outputs from two runs."""
+    name = " ".join(args)
+    try:
+        doc = json.loads(first["stdout"])
+    except ValueError:
+        doc = None
+    got = doc.get("error") if isinstance(doc, dict) else None
+    problems = []
+    if (first["exit"], got) != (code, error):
+        problems.append(f"{name}: exit {first['exit']} error {got}, expected {code} {error}")
+    if args[0] == "verify-all" and "--json" in args:
+        battery = (departures(doc) if isinstance(doc, dict) and "residuals" in doc
+                   else ["no battery document on stdout"])
+        problems += [f"{name}: {line}" for line in battery]
+    return problems + [f"{name}: rerun {line}" for line in moved_values(first, second)]
+
+
 def check(tree):
     runs = corpus(tree)
     outputs = run_all([(tree, args) for args, _, _ in runs] * 2)
-    problems = []
-    for (args, code, error), first, second in zip(runs, outputs, outputs[len(runs):]):
-        name = " ".join(args)
-        try:
-            got = json.loads(first["stdout"]).get("error")
-        except (ValueError, AttributeError):  # not a JSON object
-            got = None
-        if (first["exit"], got) != (code, error):
-            problems.append(f"{name}: exit {first['exit']} error {got}, expected {code} {error}")
-        problems += [f"{name}: rerun {line}" for line in moved_values(first, second)]
+    problems = [line for expected, first, second in zip(runs, outputs, outputs[len(runs):])
+                for line in run_problems(*expected, first, second)]
     print(*problems, f"{len(runs)} runs, each twice: {len(problems)} problems", sep="\n")
     return 1 if problems else 0
 
