@@ -51,11 +51,8 @@ def _argument_error(name: str, x: float) -> DomainError:
 _PHASES: dict = {}
 _MEMO_SIZE = 256
 
-# asin(x) == x to rounding for |x| < 2^-26 (its x^3/6 is below half an ulp)
-_ASIN_FREE = 2.0 ** -26
 
-
-def _agm_phases(k: float) -> tuple[float, float, tuple, tuple, tuple]:
+def _agm_phases(k: float) -> tuple[float, float, tuple, tuple]:
     """AGM of (a_0, b_0, c_0) = (1, k', k) to machine convergence, memoised.
 
     The kernel's one modulus check: k outside [0, MAX_MODULUS] raises
@@ -63,10 +60,9 @@ def _agm_phases(k: float) -> tuple[float, float, tuple, tuple, tuple]:
     every call and each entry of _PHASES is a k checked once.  The memo keeps
     the _MEMO_SIZE newest moduli and evicts the oldest.
     Returns K = pi / (2 a_N), the seed scale 2^N a_N, am's descent ratios
-    c_n/a_n for n = N..1 split into the leading ones below _ASIN_FREE and the
-    rest, and F's step constants (c_n, b_{n-1}) for n = 1..N.  When the last
-    c_N is exactly 0 its step is an exact halving in am and an exact doubling
-    in F, so that step is folded into the seed 2^(N-1) a_N instead.
+    c_n/a_n for n = N..1 and F's step constants (c_n, b_{n-1}) for n = 1..N.
+    When the last c_N is exactly 0 its step is an exact halving in am and an
+    exact doubling in F, so it is folded into the seed 2^(N-1) a_N instead.
     """
     if not 0.0 <= k <= MAX_MODULUS:
         raise DomainError(f"modulus k={k!r} outside [0, MAX_MODULUS = {MAX_MODULUS!r}]")
@@ -86,11 +82,7 @@ def _agm_phases(k: float) -> tuple[float, float, tuple, tuple, tuple]:
     if steps and c == 0.0:
         del ratios[-1], steps[-1]
     ratios.reverse()
-    small = 0
-    while small < len(ratios) and abs(ratios[small]) < _ASIN_FREE:
-        small += 1
-    phases = (math.pi / (2.0 * a), math.ldexp(a, len(steps)),
-              tuple(ratios[:small]), tuple(ratios[small:]), tuple(steps))
+    phases = (math.pi / (2.0 * a), math.ldexp(a, len(steps)), tuple(ratios), tuple(steps))
     if len(_PHASES) >= _MEMO_SIZE:
         del _PHASES[next(iter(_PHASES))]
     _PHASES[k] = phases
@@ -110,15 +102,12 @@ def am(u: float, k: float) -> float:
     linear in u and every descent step is a contraction, the quasi-period
     am(u + 2K) = am(u) + pi holds to rounding without explicit unwinding.
     A step whose ratio c_n/a_n is exactly 0 is a halving, already folded into
-    the seed; a step whose ratio is below 2^-26 drops the asin, which returns
-    its argument unchanged there.
+    the seed.
     """
-    _, seed, small, ratios, _ = _PHASES.get(k) or _agm_phases(k)
+    _, seed, ratios, _ = _PHASES.get(k) or _agm_phases(k)
     if not _MIN_ARGUMENT <= u <= MAX_ARGUMENT:
         raise _argument_error("u", u)
     phi = seed * u
-    for ratio in small:
-        phi = 0.5 * (phi + ratio * _sin(phi))
     for ratio in ratios:
         phi = 0.5 * (phi + _asin(ratio * _sin(phi)))
     return phi
@@ -149,7 +138,7 @@ def incomplete_F(phi: float, k: float) -> float:
     The denominator is evaluated as b_{n-1} + 2 c_n cos^2 phi_{n-1}, which
     equals it but does not cancel when k -> 1 and cos theta -> -1.
     """
-    _, seed, _, _, steps = _PHASES.get(k) or _agm_phases(k)
+    _, seed, _, steps = _PHASES.get(k) or _agm_phases(k)
     if not _MIN_ARGUMENT <= phi <= MAX_ARGUMENT:
         raise _argument_error("phi", phi)
     if phi == 0.0:  # F is odd: -0.0 stays -0.0, which the descent would turn into +0.0

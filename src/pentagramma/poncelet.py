@@ -149,6 +149,11 @@ def trajectory(c: TwoCircleConfig, phi0: float, n: int) -> PonceletTrajectory:
     """
     import numpy as np
 
+    return PonceletTrajectory(phis=np.frombuffer(_walk(c, phi0, n)), config=c)
+
+
+def _walk(c: TwoCircleConfig, phi0: float, n: int) -> array:
+    """trajectory's angles, without numpy."""
     if n < 1:
         raise DomainError("need at least one chord step")
     if not abs(phi0) <= PHI0_MAX:
@@ -166,13 +171,12 @@ def trajectory(c: TwoCircleConfig, phi0: float, n: int) -> PonceletTrajectory:
             turns += 1
             lo, hi = turns * _TWO_PI_LO, turns * _TWO_PI_HI
         append(theta + lo + hi)
-    return PonceletTrajectory(phis=np.frombuffer(phis), config=c)
+    return phis
 
 
 def porism_residual(c: TwoCircleConfig, n: int, m: int, starts) -> float:
     """Worst miss of n chords from each start angle against m full turns (m pi)."""
-    return max(abs(trajectory(c, float(p0), n).phis[-1] - p0 - m * math.pi)
-               for p0 in starts)
+    return max(abs(_walk(c, float(p0), n)[-1] - p0 - m * math.pi) for p0 in starts)
 
 
 def _check_walk(n: int, m: int) -> None:

@@ -218,7 +218,12 @@ def criterion_8(col: _Collector, rng) -> None:
 
 
 def criterion_9(col: _Collector, rng) -> None:
-    """Dilogarithm values and series, and the two functional equations."""
+    """Dilogarithm values and series, and the two functional equations.
+
+    dilog.reflection is blind to the series: L(x) and L(1 - x) run it at nearly one
+    point, -log1p(-x) and -log(1 - x), so a wrong coefficient cancels there and the
+    check reads only the reflected branch's pi^2/6 and its log product.
+    """
     col.add("dilog.landen", abs(dilogarithm.rogers_L(1.0 / GOLDEN) - PI ** 2 / 10),
             1e-12)
     col.add("dilog.series", max(abs(dilogarithm.li2(x) - oracles.li2_series(x))

@@ -118,6 +118,20 @@ def test_criterion_9_sees_a_wrong_li2(monkeypatch):
     assert not checks["dilog.series"].passed
 
 
+@pytest.mark.parametrize("index, factor, criteria, failing", [
+    (0, 1.0 + 1e-6, (5, 9), {"dilog.series", "dilog.spence", "dilog.pentagon_sum"}),
+    (5, 2.0, (9,), {"dilog.series"}),
+], ids=["first", "sixth"])
+def test_battery_sees_a_wrong_series_coefficient(index, factor, criteria, failing, monkeypatch):
+    # the first coefficient 1e-6 off moves the series, Spence and five-term
+    # checks to ~1e-8; the sixth doubled moves the series check to 3.5e-13
+    coeffs = list(dilogarithm._BERNOULLI_COEFFS)
+    coeffs[index] *= factor
+    monkeypatch.setattr(dilogarithm, "_BERNOULLI_COEFFS", tuple(coeffs))
+    checks = {c.name: c for n in criteria for c in verify.run_criterion(n, seed=0)}
+    assert {name for name in failing if not checks[name].passed} == failing
+
+
 @pytest.mark.parametrize("module, name, wrong, failing, passing", [
     (dilogarithm, "_li2_and_rogers",
      lambda f: lambda x: (f(x)[0], f(x)[1] * (1.0 + 1e-9)),

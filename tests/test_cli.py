@@ -510,10 +510,11 @@ def test_commands_without_a_seeded_draw_load_no_numpy():
     argvs = [["pentagram", "--alpha", "9", "--gamma", "2", "--json"],
              ["napier", "--k", "0.5", "--u", "0.3", "--json"],
              ["bridge", "--k", "0.3", "--json"],
-             ["poncelet", "--R", "1", "--r", "0.5", "--a", "0.2", "--json"]]
+             ["poncelet", "--R", "1", "--r", "0.5", "--a", "0.2", "--json"],
+             ["poncelet", "--R", "1", "--r", "0.3", "--solve", "5", "2", "--json"]]
     statement = ("import io\nfrom pentagramma import cli\n"
                  f"codes = [cli.main(argv, out=io.StringIO()) for argv in {argvs!r}]\n"
-                 "assert codes == [0, 0, 0, 0], codes")
+                 "assert codes == [0] * 5, codes")
     assert loaded_modules("numpy", statement) == "[]"
 
 

@@ -459,11 +459,7 @@ def _reference_agm_phases(k):
     if steps and c == 0.0:
         del ratios[-1], steps[-1]
     ratios.reverse()
-    small = 0
-    while small < len(ratios) and abs(ratios[small]) < 2.0 ** -26:
-        small += 1
-    return (math.pi / (2.0 * a), math.ldexp(a, len(steps)),
-            tuple(ratios[:small]), tuple(ratios[small:]), tuple(steps))
+    return math.pi / (2.0 * a), math.ldexp(a, len(steps)), tuple(ratios), tuple(steps)
 
 
 def test_agm_phases_match_tuple_loop_reference(rng):
