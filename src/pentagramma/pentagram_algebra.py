@@ -95,10 +95,12 @@ def complete_from_two(alpha: float, gamma: float) -> AlphaCycle:
 
     beta = (1+alpha+gamma)/(alpha gamma), delta = (1+alpha)/gamma,
     epsilon = (1+gamma)/alpha; the five cyclic relations then hold
-    identically.
+    identically.  Both seeds are cycle entries, so both lie in [ALPHA_MIN, ALPHA_MAX].
     """
-    if alpha <= 0.0 or gamma <= 0.0:
-        raise DomainError("both seed quantities must be positive")
+    for name, seed in (("alpha", alpha), ("gamma", gamma)):
+        if not ALPHA_MIN <= seed <= ALPHA_MAX:
+            raise DomainError(f"seed {name}={seed!r} outside [ALPHA_MIN, ALPHA_MAX] = "
+                              f"[{ALPHA_MIN}, {ALPHA_MAX}]")
     beta = (1.0 + alpha + gamma) / (alpha * gamma)
     delta = (1.0 + alpha) / gamma
     epsilon = (1.0 + gamma) / alpha

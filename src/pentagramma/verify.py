@@ -207,7 +207,7 @@ def criterion_8(col: _Collector, rng) -> None:
     for cfg in (poncelet.TwoCircleConfig(1.0, 0.5, 0.2),
                 poncelet.TwoCircleConfig(1.0, 0.4, 0.35),
                 config):
-        k, alpha = poncelet.modulus_of_config(cfg)
+        k, alpha = cfg.k, cfg.alpha
         step = elliptic_kernel.incomplete_F(alpha, k)
         phi0 = float(rng.uniform(0.0, 2 * PI))
         walk = poncelet.trajectory(cfg, phi0, 50)

@@ -75,6 +75,15 @@ class TestPentagram:
         assert "OMEGA_MAX" in message and "MAX_MODULUS" in message
         assert_error_document(output, "pentagram", "DomainError", message)
 
+    # alpha * gamma underflows to 0 for these seeds: a domain error, not a traceback
+    @pytest.mark.parametrize("alpha, gamma", [("1e-200", "1e-200"), ("5e-324", "0.3")])
+    def test_seed_below_alpha_min_names_the_bound(self, alpha, gamma, capsys):
+        code, output = run_cli(["pentagram", "--alpha", alpha, "--gamma", gamma, "--json"])
+        assert code == 2
+        message = capsys.readouterr().err
+        assert f"seed alpha={float(alpha)!r}" in message and "ALPHA_MIN" in message
+        assert_error_document(output, "pentagram", "DomainError", message)
+
 
 class TestNapier:
     def test_single_run(self):
@@ -496,6 +505,13 @@ def test_cli_import_leaves_unloaded(prefix):
     # scipy serves only the tests, numpy only the seeded draws and the
     # Poncelet walk; importing the command loads neither
     assert loaded_modules(prefix, "import pentagramma.cli") == "[]"
+
+
+# the package root imports nothing, so one layer loads only the modules it imports
+@pytest.mark.parametrize("layer", ["elliptic_kernel", "dilogarithm"])
+def test_one_layer_loads_only_its_dependencies(layer):
+    expected = sorted(["pentagramma", "pentagramma.errors", f"pentagramma.{layer}"])
+    assert loaded_modules("pentagramma", f"import pentagramma.{layer}") == str(expected)
 
 
 def test_verify_all_loads_no_scipy():

@@ -126,7 +126,7 @@ class TestRogersL:
         assert rogers_L(x) == li2(x) + 0.5 * (math.log(x) * math.log1p(-x))
 
     @given(open_unit_interval)
-    @settings(max_examples=300, derandomize=True)
+    @settings(max_examples=300)
     def test_is_li2_plus_the_log_product(self, x):
         assert rogers_L(x) == li2(x) + 0.5 * (math.log(x) * math.log1p(-x))
 

@@ -19,6 +19,8 @@ GAUSS_TUPLE = (9.0, 2.0 / 3.0, 2.0, 5.0, 1.0 / 3.0)
 
 positive_seed = st.floats(min_value=0.05, max_value=50.0,
                           allow_nan=False, allow_infinity=False)
+# subnormal to the largest double, so alpha * gamma can underflow or overflow
+any_positive_seed = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
 class TestCyclicMaps:
@@ -127,6 +129,15 @@ class TestCompleteFromTwo:
     def test_nonpositive_rejected(self):
         with pytest.raises(DomainError):
             complete_from_two(-1.0, 2.0)
+
+    @given(any_positive_seed, any_positive_seed)
+    @settings(max_examples=300)
+    def test_any_positive_seeds_give_a_cycle_or_a_domain_error(self, alpha, gamma):
+        # AlphaCycle holds every entry to its bounds; any other exception fails the test
+        try:
+            complete_from_two(alpha, gamma)
+        except DomainError:
+            pass
 
     @given(positive_seed, positive_seed)
     @settings(max_examples=300)

@@ -6,8 +6,7 @@ import pytest
 
 import pentagramma
 
-MODULES = sorted(path for path in Path(pentagramma.__file__).parent.glob("*.py")
-                 if path.name != "__init__.py")
+MODULES = sorted(Path(pentagramma.__file__).parent.glob("*.py"))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)

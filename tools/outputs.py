@@ -67,6 +67,8 @@ FIXED = [
     ("poncelet --R 1 --r 0.3 --a 0.1 --solve 5 2 --json", 2, None),
     ("poncelet --R 1 --r 0.3 --solve 5 2 --steps 10 --json", 2, None),
     ("poncelet --R 1 --r 0.5 --a 0.2 --phi0 -3 --json", 2, None),
+    # seeds whose product underflows, refused by the cycle's own bounds
+    ("pentagram --alpha 1e-200 --gamma 1e-200 --json", 2, "DomainError"),
     # codes that ROADMAP items 7 and 8 will move: the omega-domain gap, three pairs
     # that close but are not found, the half-turn refusal and the empty bracket
     ("pentagram --alpha 1e7 --gamma 3 --json", 2, "DomainError"),
