@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import math
 import os
 import sys
@@ -36,6 +35,11 @@ _NEAR_CRITICAL_WARN = 1e-4
 _SVG_SIZE = 480  # pixels per side
 # the porism's start half-angles: the first vertices 72 degrees apart on the outer circle
 _PORISM_STARTS = tuple(j * math.pi / 5 for j in range(5))
+# the CSV rows: every number at 17 significant digits, so no field needs quoting
+_GRID_HEADER = ("k,u,alpha_0,alpha_1,alpha_2,alpha_3,alpha_4,beta_0,beta_1,beta_2,beta_3,"
+                "beta_4,law_residual,five_term_residual\n")
+_GRID_ROW = ",".join(["%.17g"] * 14) + "\n"
+_WALK_ROW = "%d,%.17g\n"
 
 _EXIT_CHECK_FAIL = 1
 _EXIT_DOMAIN = 2
@@ -153,16 +157,6 @@ def poncelet_svg(config: TwoCircleConfig, walk) -> str:
     return _svg_document(body, half_extent=1.15)
 
 
-def _write_csv(handle, header: list[str], rows) -> int:
-    """Write the header, then each row as it comes; the number of rows."""
-    writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(header)
-    count = 0
-    for count, row in enumerate(rows, 1):
-        writer.writerow(row)
-    return count
-
-
 class _UnwritablePath(Exception):
     """An OSError met on a --csv or --svg path, told apart from one met on stdout."""
 
@@ -254,20 +248,15 @@ def cmd_napier(args, out) -> RunReport | None:
                               "to that file and its JSON report to stdout")
         import numpy as np
 
-        def rows():
-            for frame in sweep_frames(np.random.default_rng(args.seed), args.samples):
+        frames = sweep_frames(np.random.default_rng(args.seed), args.samples)
+        count = 0
+        with (_output_file(args.csv) if args.csv else contextlib.nullcontext(out)) as handle:
+            handle.write(_GRID_HEADER)
+            for count, frame in enumerate(frames, 1):
                 cycle, betas, law, five = _napier_row(frame)
-                yield [format(v, ".17g")
-                       for v in (frame.k, frame.u, *cycle.alphas, *betas, law, five)]
-
-        header = (["k", "u"] + [f"alpha_{j}" for j in range(5)]
-                  + [f"beta_{j}" for j in range(5)]
-                  + ["law_residual", "five_term_residual"])
+                handle.write(_GRID_ROW % (frame.k, frame.u, *cycle.alphas, *betas, law, five))
         if not args.csv:
-            _write_csv(out, header, rows())
             return None
-        with _output_file(args.csv) as handle:
-            count = _write_csv(handle, header, rows())
         if args.json:
             return RunReport(command="napier",
                              inputs={"grid": True, "samples": args.samples, "seed": args.seed},
@@ -366,8 +355,8 @@ def cmd_poncelet(args, out) -> RunReport:
             report.outputs["svg"] = args.svg
         if args.csv:
             with _output_file(args.csv) as handle:
-                _write_csv(handle, ["i", "phi"], ([i, format(float(phi), ".17g")]
-                                                  for i, phi in enumerate(walk.phis)))
+                handle.write("i,phi\n")
+                handle.writelines(_WALK_ROW % row for row in enumerate(walk.phis))
             report.outputs["csv"] = args.csv
     return report
 

@@ -51,7 +51,7 @@ class PentagonFrame:
         object.__setattr__(self, "chords", tuple(out))
 
 
-def _lattice(k: float) -> tuple[float, float, float]:
+def lattice(k: float) -> tuple[float, float, float]:
     """K(k), cn(2K/5) and dn(2K/5): the frame's constants, which depend on k alone."""
     quarter = complete_K(k)
     _, cn5, dn5 = jacobi_triple(0.4 * quarter, k)
@@ -74,7 +74,7 @@ def _frame(k: float, u: float, quarter: float, cn5: float, dn5: float) -> Pentag
 
 def frame_vectors(k: float, u: float) -> PentagonFrame:
     """r_j = (cn(u+4jK/5)/sqrt(c5), sqrt(d5) sn(u+4jK/5)/sqrt(c5), 1)."""
-    return _frame(k, u, *_lattice(k))
+    return _frame(k, u, *lattice(k))
 
 
 def sweep_frames(rng, samples: int) -> Iterator[PentagonFrame]:
@@ -86,9 +86,9 @@ def sweep_frames(rng, samples: int) -> Iterator[PentagonFrame]:
     once per k.
     """
     for k in K_GRID:
-        lattice = _lattice(k)
-        for u in sorted(rng.uniform(0.0, 0.8 * lattice[0], size=samples).tolist()):
-            yield _frame(k, u, *lattice)
+        constants = lattice(k)
+        for u in sorted(rng.uniform(0.0, 0.8 * constants[0], size=samples).tolist()):
+            yield _frame(k, u, *constants)
 
 
 def alpha_sequence(f: PentagonFrame) -> AlphaCycle:

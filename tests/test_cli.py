@@ -7,6 +7,7 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 import pentagramma
@@ -161,11 +162,25 @@ class TestNapier:
     def test_grid_zero_samples_header_only(self, tmp_path):
         header = ("k,u,alpha_0,alpha_1,alpha_2,alpha_3,alpha_4,beta_0,beta_1,beta_2,"
                   "beta_3,beta_4,law_residual,five_term_residual\n")
+        assert cli._GRID_HEADER == header
         assert run_cli(["napier", "--grid", "--samples", "0"]) == (0, header)
         target = tmp_path / "empty.csv"
         code, written = run_cli(["napier", "--grid", "--samples", "0", "--csv", str(target)])
         assert (code, written) == (0, f"wrote 0 rows to {target}\n")
         assert target.read_text() == header
+
+    @pytest.mark.parametrize("kind", [float, np.float64])
+    def test_row_templates_write_format_17g_bytes(self, kind):
+        # each CSV row is one %-template, with the bytes of format(v, ".17g") per field
+        # on signed zeros, subnormals, the smallest normal, inexact values, the
+        # largest magnitudes and the non-finite values
+        values = [kind(v) for v in (0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308,
+                                    0.1, 1 / 3, 1e308, -1e308, math.nan, math.inf, -math.inf)]
+        for start in range(len(values)):
+            row = tuple(values[(start + j) % len(values)] for j in range(14))
+            assert cli._GRID_ROW % row == ",".join(format(float(v), ".17g") for v in row) + "\n"
+        for i, phi in enumerate(values):
+            assert cli._WALK_ROW % (i, phi) == f"{i},{format(float(phi), '.17g')}\n"
 
     def test_grid_k_column_is_the_library_grid(self):
         code, output = run_cli(["napier", "--grid", "--samples", "2"])
@@ -522,16 +537,18 @@ def test_verify_all_loads_no_scipy():
     assert loaded_modules("scipy", statement) == "[]"
 
 
-def test_commands_without_a_seeded_draw_load_no_numpy():
+def test_commands_without_a_seeded_draw_load_no_numpy(tmp_path):
     argvs = [["pentagram", "--alpha", "9", "--gamma", "2", "--json"],
              ["napier", "--k", "0.5", "--u", "0.3", "--json"],
+             ["napier", "--k", "0.5", "--u", "0.3", "--svg", str(tmp_path / "p.svg")],
              ["bridge", "--k", "0.3", "--json"],
              ["poncelet", "--R", "1", "--r", "0.5", "--a", "0.2", "--json"],
              ["poncelet", "--R", "1", "--r", "0.3", "--solve", "5", "2", "--json"]]
     statement = ("import io\nfrom pentagramma import cli\n"
                  f"codes = [cli.main(argv, out=io.StringIO()) for argv in {argvs!r}]\n"
-                 "assert codes == [0] * 5, codes")
+                 "assert codes == [0] * 6, codes")
     assert loaded_modules("numpy", statement) == "[]"
+    assert (tmp_path / "p.svg").read_text().startswith("<svg ")
 
 
 EXIT_CODES = {errors.DomainError: 2, errors.GeometryError: 2,

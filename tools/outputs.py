@@ -39,6 +39,10 @@ FIXED = [
     ("napier --k 0.5 --u 1e-310 --json", 0, None),
     ("bridge --omega 11.090169943749475 --json", 0, None),
     ("bridge --omega 1e5 --json", 1, None),
+    # the bridge near the regular pentagram, where the spectral k is 0, and a searched
+    # root near tangency, where one ulp of a moves the closure residual past its tolerance
+    ("bridge --k 0.001 --json", 1, None),
+    ("poncelet --R 1 --r 0.5 --solve 12 1 --json", 1, None),
     # every chord angle of two walks; the CSVs print 17 digits, so any moved bit shows
     ("poncelet --R 1 --r 0.3 --solve 5 2 --steps 100000 --csv walk52.csv --json", 0, None),
     ("poncelet --R 1 --r 0.5 --a 0.2 --phi0 -3 --steps 500 --csv walkneg.csv --json", 0, None),
