@@ -43,17 +43,18 @@ _WALK_ROW = "%d,%.17g\n"
 
 _EXIT_CHECK_FAIL = 1
 _EXIT_DOMAIN = 2
-_EXIT_INVARIANT = 3
-_EXIT_SUBCRITICAL = 4
-_EXIT_SEARCH = 5
+# (error types, exit code, stderr label), read in order: the first row that matches wins
+_EXITS = (((DomainError, GeometryError), _EXIT_DOMAIN, "domain error"),
+          (SubcriticalError, 4, "subcritical"),
+          (NoSolutionError, 5, "search failed"),
+          (PentagrammaError, 3, "invariant violation"))
 
 
 # ---------------------------------------------------------------- reports
 
 @dataclass
 class RunReport:
-    command: str
-    inputs: dict
+    """What a mode computed; its command and inputs are the parsed options' (_inputs)."""
     outputs: dict = field(default_factory=dict)
     checks: list[Check] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
@@ -89,10 +90,16 @@ def _to_json(obj) -> str:
     return _fmt(obj)
 
 
-def report_json(report: RunReport) -> str:
+def _inputs(args) -> dict:
+    """The options the mode reads, each given or defaulted: the inputs of every document."""
+    return {key: value for key, value in vars(args).items()
+            if key not in ("func", "json", "subcommand") and value is not None}
+
+
+def report_json(args, report: RunReport) -> str:
     doc = {
-        "command": report.command,
-        "inputs": report.inputs,
+        "command": args.subcommand,
+        "inputs": _inputs(args),
         "outputs": report.outputs,
         "residuals": {c.name: {"value": float(c.residual), "tol": c.tol}
                       for c in report.checks},
@@ -102,10 +109,10 @@ def report_json(report: RunReport) -> str:
     return _to_json(doc)
 
 
-def report_text(report: RunReport) -> str:
-    lines = [f"command: {report.command}"]
-    for key in sorted(report.inputs):
-        lines.append(f"  input  {key} = {_to_json(report.inputs[key])}")
+def report_text(args, report: RunReport) -> str:
+    lines = [f"command: {args.subcommand}"]
+    for key, value in sorted(_inputs(args).items()):
+        lines.append(f"  input  {key} = {_to_json(value)}")
     for key in sorted(report.outputs):
         lines.append(f"  output {key} = {_to_json(report.outputs[key])}")
     for c in report.checks:
@@ -208,8 +215,6 @@ def cmd_pentagram(args, out) -> RunReport:
     pentagon = build_sphere_vertices(cycle)
 
     report = RunReport(
-        command="pentagram",
-        inputs={"alpha": args.alpha, "gamma": args.gamma},
         outputs={
             "alphas": list(cycle.alphas),
             "omega": prod,
@@ -258,17 +263,13 @@ def cmd_napier(args, out) -> RunReport | None:
         if not args.csv:
             return None
         if args.json:
-            return RunReport(command="napier",
-                             inputs={"grid": True, "samples": args.samples, "seed": args.seed},
-                             outputs={"rows": count, "csv": args.csv})
+            return RunReport(outputs={"rows": count})
         out.write(f"wrote {count} rows to {args.csv}\n")
         return None
 
     frame = frame_vectors(args.k, args.u)
     cycle, betas, law, five = _napier_row(frame)
     report = RunReport(
-        command="napier",
-        inputs={"k": args.k, "u": args.u},
         outputs={
             "K": frame.K,
             "vectors": frame.vectors,
@@ -281,7 +282,6 @@ def cmd_napier(args, out) -> RunReport | None:
     report.checks.append(Check("five_term_sum", five, 1e-10))
     if args.svg:
         _write_file(args.svg, pentagon_svg(pentagon_from_frame(frame)))
-        report.outputs["svg"] = args.svg
     return report
 
 
@@ -295,8 +295,6 @@ def cmd_bridge(args, out) -> RunReport:
     quarter = complete_K(k)
     lattice = jacobi_triple(0.4 * quarter, k)
     report = RunReport(
-        command="bridge",
-        inputs=({"omega": omega} if args.omega is not None else {"k": args.k}),
         outputs={
             "omega": omega,
             "k": k,
@@ -322,11 +320,7 @@ def cmd_poncelet(args, out) -> RunReport:
         config = search_closing_config(n, m, args.R, args.r)
         porism = porism_residual(config, n, m, _PORISM_STARTS)
         k, alpha = modulus_of_config(config)
-        report = RunReport(
-            command="poncelet",
-            inputs={"R": args.R, "r": args.r, "solve_n": n, "solve_m": m},
-            outputs={"a": config.a, "k": k, "alpha": alpha},
-        )
+        report = RunReport(outputs={"a": config.a, "k": k, "alpha": alpha})
         report.checks.append(Check("closure_residual",
                                    abs(closure_residual(config, n, m)), 1e-12))
         report.checks.append(Check("porism_closure", porism, 1e-8))
@@ -340,31 +334,23 @@ def cmd_poncelet(args, out) -> RunReport:
             for m in range(1, n // 2 + 1):
                 if math.gcd(n, m) == 1:
                     candidates[f"{n}/{m}"] = closure_residual(config, n, m)
-        report = RunReport(
-            command="poncelet",
-            inputs={"R": args.R, "r": args.r, "a": args.a},
-            outputs={"k": k, "alpha": alpha, "step": step,
-                     "turn_fraction": step / full,
-                     "closure_residuals": candidates},
-        )
+        report = RunReport(outputs={"k": k, "alpha": alpha, "step": step,
+                                    "turn_fraction": step / full,
+                                    "closure_residuals": candidates})
 
     if args.svg or args.csv:
         walk = trajectory(config, args.phi0, args.steps)
         if args.svg:
             _write_file(args.svg, poncelet_svg(config, walk))
-            report.outputs["svg"] = args.svg
         if args.csv:
             with _output_file(args.csv) as handle:
                 handle.write("i,phi\n")
                 handle.writelines(_WALK_ROW % row for row in enumerate(walk.phis))
-            report.outputs["csv"] = args.csv
     return report
 
 
 def cmd_verify_all(args, out) -> RunReport:
-    report = RunReport(command="verify-all",
-                       inputs={"seed": args.seed,
-                               "tol": args.tol if args.tol is not None else "default"})
+    report = RunReport()
     for number, checks in verify.run_all(seed=args.seed).items():
         checks = _apply_override(
             [replace(c, name=f"{number:02d}.{c.name}") for c in checks], args.tol)
@@ -401,7 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("napier", help="elliptic 5-division pentagon frame")
     p.add_argument("--k", type=float, help="elliptic modulus (default 0)")
     p.add_argument("--u", type=float, help="frame parameter (default 0)")
-    p.add_argument("--grid", action="store_true", help="sweep the (k, u) grid and emit CSV")
+    p.add_argument("--grid", action="store_true", default=None,
+                   help="sweep the (k, u) grid and emit CSV")
     p.add_argument("--samples", type=_nonnegative_int,
                    help="u samples per k in grid mode (default 20)")
     p.add_argument("--seed", type=_nonnegative_int, help="grid draws (default 0)")
@@ -466,10 +453,8 @@ def _report_error(args, out, exc: PentagrammaError | OSError, label: str, code: 
     """Name a typed error on stderr and, under --json, as a JSON document on out."""
     print(f"{label}: {exc}", file=sys.stderr)
     if args.json:
-        inputs = {key: value for key, value in vars(args).items()
-                  if key not in ("func", "json", "subcommand") and value is not None}
         out.write(_to_json({"command": args.subcommand, "error": type(exc).__name__,
-                            "inputs": inputs, "message": str(exc),
+                            "inputs": _inputs(args), "message": str(exc),
                             "status": "error"}) + "\n")
         out.flush()
     return code
@@ -490,16 +475,11 @@ def main(argv=None, out=None) -> int:
             if report is not None:
                 if args.func is not cmd_verify_all:  # verify-all applies it per criterion
                     report.checks = _apply_override(report.checks, override)
-                out.write((report_json(report) if args.json else report_text(report)) + "\n")
+                out.write((report_json if args.json else report_text)(args, report) + "\n")
             out.flush()
-        except (DomainError, GeometryError) as exc:
-            return _report_error(args, out, exc, "domain error", _EXIT_DOMAIN)
-        except SubcriticalError as exc:
-            return _report_error(args, out, exc, "subcritical", _EXIT_SUBCRITICAL)
-        except NoSolutionError as exc:
-            return _report_error(args, out, exc, "search failed", _EXIT_SEARCH)
         except PentagrammaError as exc:
-            return _report_error(args, out, exc, "invariant violation", _EXIT_INVARIANT)
+            _, code, label = next(row for row in _EXITS if isinstance(exc, row[0]))
+            return _report_error(args, out, exc, label, code)
         except _UnwritablePath as exc:  # an unwritable --csv or --svg path
             return _report_error(args, out, exc.__cause__, "cannot write", _EXIT_DOMAIN)
     except OSError as exc:  # a closed or full stdout, met by a report or an error document

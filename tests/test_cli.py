@@ -136,14 +136,16 @@ class TestNapier:
         assert target.read_bytes() == streamed.encode("utf-8")
 
     def test_grid_csv_json_report(self, tmp_path):
-        # under --json the file's row count comes as a report, not as the plain line
+        # under --json the file's row count comes as a report, not as the plain line;
+        # the file is named once, by the input that asked for it
         target = tmp_path / "sweep.csv"
         code, output = run_cli(["napier", "--grid", "--samples", "3", "--seed", "5",
                                 "--csv", str(target), "--json"])
         assert code == 0
         assert json.loads(output) == {
-            "command": "napier", "inputs": {"grid": True, "samples": 3, "seed": 5},
-            "outputs": {"csv": str(target), "rows": 30}, "residuals": {},
+            "command": "napier",
+            "inputs": {"csv": str(target), "grid": True, "samples": 3, "seed": 5},
+            "outputs": {"rows": 30}, "residuals": {},
             "status": "pass", "warnings": []}
         assert len(target.read_text().splitlines()) == 1 + 30
 
@@ -543,10 +545,12 @@ def test_commands_without_a_seeded_draw_load_no_numpy(tmp_path):
              ["napier", "--k", "0.5", "--u", "0.3", "--svg", str(tmp_path / "p.svg")],
              ["bridge", "--k", "0.3", "--json"],
              ["poncelet", "--R", "1", "--r", "0.5", "--a", "0.2", "--json"],
-             ["poncelet", "--R", "1", "--r", "0.3", "--solve", "5", "2", "--json"]]
+             ["poncelet", "--R", "1", "--r", "0.3", "--solve", "5", "2", "--json"],
+             # an error document, whose search fails before any walk is drawn
+             ["poncelet", "--R", "1", "--r", "0.4", "--solve", "5", "2", "--json"]]
     statement = ("import io\nfrom pentagramma import cli\n"
                  f"codes = [cli.main(argv, out=io.StringIO()) for argv in {argvs!r}]\n"
-                 "assert codes == [0] * 6, codes")
+                 "assert codes == [0] * 6 + [5], codes")
     assert loaded_modules("numpy", statement) == "[]"
     assert (tmp_path / "p.svg").read_text().startswith("<svg ")
 
@@ -644,6 +648,32 @@ def test_error_reaches_json_consumers(argv, code, error, inputs, env, capsys, mo
     assert doc["inputs"] == inputs
 
 
+@pytest.mark.parametrize("argv", [
+    ["pentagram", "--alpha", "9", "--gamma", "2"],
+    ["napier", "--k", "0.5", "--u", "0.3"],
+    ["napier", "--grid", "--samples", "1", "--csv", "g.csv"],
+    ["bridge", "--omega", "20"],
+    ["bridge", "--k", "0.3"],
+    ["poncelet", "--R", "1", "--r", "0.5", "--a", "0.2", "--steps", "3", "--svg", "w.svg"],
+    ["poncelet", "--R", "1", "--r", "0.3", "--solve", "5", "2"],
+    ["verify-all", "--seed", "1"],
+    ["verify-all", "--tol", "1e-3"]], ids=" ".join)
+def test_report_and_error_document_share_inputs(argv, tmp_path, monkeypatch):
+    # one argv, one schema: a report and an error document of the same options
+    # list the same command and the same inputs
+    monkeypatch.chdir(tmp_path)
+    report = json.loads(run_cli([*argv, "--json"])[1])
+
+    def raise_error(args, out):
+        raise errors.DomainError("raised after the options were parsed")
+
+    monkeypatch.setattr(cli, "cmd_" + argv[0].replace("-", "_"), raise_error)
+    code, output = run_cli([*argv, "--json"])
+    error = json.loads(output)
+    assert (code, error["status"]) == (2, "error")
+    assert (error["command"], error["inputs"]) == (report["command"], report["inputs"])
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["napier", "--k", "0.5", "--u", "0.3"], "--svg"),
     (["poncelet", "--R", "1", "--r", "0.3", "--solve", "5", "2"], "--csv"),
@@ -735,7 +765,9 @@ TEXT_VALUE = re.compile(r"^  (input|output) +(\S+) = (.*)$")
     ["napier", "--k", "0.5", "--u", "0.3"],
     ["bridge", "--omega", "20"],
     ["poncelet", "--R", "1", "--r", "0.5", "--a", "0.2"],
-    ["verify-all", "--seed", "3"]], ids=lambda argv: argv[0])
+    ["poncelet", "--R", "1", "--r", "0.3", "--solve", "5", "2"],  # a list-valued input
+    ["verify-all", "--seed", "3"]],
+    ids=["pentagram", "napier", "bridge", "poncelet", "poncelet-solve", "verify-all"])
 def test_text_values_are_json_tokens(argv):
     _, text = run_cli(argv)
     _, document = run_cli([*argv, "--json"])
