@@ -31,8 +31,8 @@ _sin, _cos, _hypot, _atan2, _acos = math.sin, math.cos, math.hypot, math.atan2, 
 class TwoCircleConfig:
     """Outer radius R, inner radius r, centre distance a, checked when made.
 
-    R is finite, 0 <= a < r and a + r < R: the circles are strictly nested and
-    the outer centre lies inside the inner circle.  GeometryError names a broken bound.
+    R is finite and positive, r > 0, a >= 0 and a + r < R: the circles are strictly nested.
+    GeometryError names a broken bound.
     Once checked it holds s = a/R and t = r/R, the only ratios the formulas read, and
     from them the modulus k^2 = 4Ra/((R+a)^2 - r^2), amplitude cos(alpha) = r/(R+a) and
     the chord recursion's ratio rho = (1-s)/(1+s).
@@ -59,9 +59,6 @@ class TwoCircleConfig:
         if a + r >= R:
             raise GeometryError(
                 f"inner circle not strictly nested: a + r = {a + r!r} >= R = {R!r}")
-        if a >= r:
-            raise GeometryError(
-                f"outer centre must lie inside the inner circle: a = {a!r} >= r = {r!r}")
         s, t = a / R, r / R
         k = math.sqrt(4.0 * s / ((1.0 + s) ** 2 - t ** 2))
         if not k <= MAX_MODULUS:
@@ -69,8 +66,8 @@ class TwoCircleConfig:
                               f"{a + r!r} is too close to R = {R!r} (tangency) for the kernel")
         alpha = math.acos(t / (1.0 + s))
         rho = (1.0 - s) / (1.0 + s)
-        # both closed forms of the complement: sqrt(1 - k^2 sin^2 alpha) = rho, cos alpha = t/(1+s)
-        residual = max(abs(math.sqrt(1.0 - (k * math.sin(alpha)) ** 2) - rho),
+        # both closed forms of the complement: k^2 sin^2 alpha + rho^2 = 1, cos alpha = t/(1+s)
+        residual = max(abs((k * math.sin(alpha)) ** 2 + rho ** 2 - 1.0),
                        abs(math.cos(alpha) - t / (1.0 + s)))
         if residual > 1e-12:
             raise InvariantError(f"modulus consistency broke: residual {residual!r} > 1e-12")
@@ -246,8 +243,9 @@ def search_closing_config(n: int, m: int, R: float, r: float) -> TwoCircleConfig
     """Centre distance making the (n, m) walk close, by Brent's bracketed search.
 
     The a = 0 configuration is made first, so a pair that is not nested
-    raises GeometryError before anything else, and the bracket
-    [0, min(r, R-r)) keeps every probed configuration valid.  A walk with
+    raises GeometryError before anything else.  The bracket [0, min(r, R-r))
+    is the search's own limit, not the configuration's: a root with a >= r,
+    such as Chapple-Euler's triangle at r = 0.3 R, is not found.  A walk with
     2m >= n is refused before any evaluation: cos(alpha) = r/(R+a) > 0 puts
     alpha below pi/2, so the forward rotation number F(alpha)/2K stays
     below 1/2.  Otherwise NoSolutionError is raised when the closure residual

@@ -36,6 +36,16 @@ def test_text_moves_name_the_first_line_and_the_count():
         "walk.csv line 3: '1,0.5\\n' → '1,0.25\\n' (moved lines: 3)"]
 
 
+def test_text_moves_align_a_deleted_line():
+    # one deleted line is one moved line, named by itself, not every later line shifted
+    before = {"exit": 0, "stdout": b"a\nb\nc\nd\n"}
+    after = {"exit": 0, "stdout": b"a\nc\nd\n"}
+    assert list(outputs.moved_values(before, after)) == [
+        "stdout line 2: 'b\\n' → '' (moved lines: 1)"]
+    assert list(outputs.moved_values(after, before)) == [
+        "stdout line 2: '' → 'b\\n' (moved lines: 1)"]
+
+
 def test_corpus_reads_the_readme_examples():
     examples = outputs.readme_examples(ROOT)
     assert [args[0] for args in examples] == [
