@@ -29,7 +29,6 @@ from .pentagram_algebra import (build_sphere_vertices, complete_from_two,
 from .dilogarithm import pentagon_five_term
 from .poncelet import (TwoCircleConfig, closure_residual, modulus_of_config,
                        porism_residual, search_closing_config, trajectory)
-from .verify import Check
 
 _NEAR_CRITICAL_WARN = 1e-4
 _SVG_SIZE = 480  # pixels per side
@@ -56,12 +55,8 @@ _EXITS = (((DomainError, GeometryError), _EXIT_DOMAIN, "domain error"),
 class RunReport:
     """What a mode computed; its command and inputs are the parsed options' (_inputs)."""
     outputs: dict = field(default_factory=dict)
-    checks: list[Check] = field(default_factory=list)
+    checks: verify.Checks = field(default_factory=verify.Checks)
     warnings: list[str] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
 
 
 def _fmt(value) -> str:
@@ -103,7 +98,7 @@ def report_json(args, report: RunReport) -> str:
         "outputs": report.outputs,
         "residuals": {c.name: {"value": float(c.residual), "tol": c.tol}
                       for c in report.checks},
-        "status": "pass" if report.passed else "fail",
+        "status": "pass" if report.checks.passed else "fail",
         "warnings": report.warnings,
     }
     return _to_json(doc)
@@ -122,7 +117,7 @@ def report_text(args, report: RunReport) -> str:
                      f"tol={c.tol:.1e}{extra}")
     for w in report.warnings:
         lines.append(f"  warning: {w}")
-    lines.append(f"status: {'PASS' if report.passed else 'FAIL'}")
+    lines.append(f"status: {'PASS' if report.checks.passed else 'FAIL'}")
     return "\n".join(lines)
 
 
@@ -178,11 +173,6 @@ def _output_file(path: str):
         raise _UnwritablePath from exc
 
 
-def _write_file(path: str, content: str) -> None:
-    with _output_file(path) as handle:
-        handle.write(content)
-
-
 # ---------------------------------------------------------------- commands
 
 def _tol_override(args) -> float | None:
@@ -202,8 +192,8 @@ def _tol_override(args) -> float | None:
     return tol
 
 
-def _apply_override(checks: list[Check], override: float | None) -> list[Check]:
-    return checks if override is None else [replace(c, tol=override) for c in checks]
+def _apply_override(checks: verify.Checks, tol: float | None) -> verify.Checks:
+    return checks if tol is None else verify.Checks(replace(c, tol=tol) for c in checks)
 
 
 def cmd_pentagram(args, out) -> RunReport:
@@ -224,12 +214,11 @@ def cmd_pentagram(args, out) -> RunReport:
             "sides": list(pentagon.sides),
         },
     )
-    report.checks.append(Check("cycle_law", max(abs(r) for r in
-                                                cycle.relation_residuals()), 1e-12))
-    report.checks.append(Check("invariant_sum", abs(total - prod) / prod, 1e-10))
-    report.checks.append(Check("invariant_sqrt", abs(augmented - prod) / prod, 1e-10))
-    report.checks.append(Check("root_products", max(abs(r) for r in
-                                                    spectral.product_residuals()), 1e-10))
+    report.checks.add("cycle_law", max(abs(r) for r in cycle.relation_residuals()), 1e-12)
+    report.checks.add("invariant_sum", abs(total - prod) / prod, 1e-10)
+    report.checks.add("invariant_sqrt", abs(augmented - prod) / prod, 1e-10)
+    report.checks.add("root_products", max(abs(r) for r in spectral.product_residuals()),
+                      verify.ROOT_PRODUCTS_TOL)
     if prod - OMEGA_CRITICAL < _NEAR_CRITICAL_WARN:
         report.warnings.append(
             f"omega is within {_NEAR_CRITICAL_WARN} of the regular value; "
@@ -278,10 +267,11 @@ def cmd_napier(args, out) -> RunReport | None:
             "omega": cycle.omega(),
         },
     )
-    report.checks.append(Check("pentagon_law", law, 1e-10))
-    report.checks.append(Check("five_term_sum", five, 1e-10))
+    report.checks.add("pentagon_law", law, verify.LAW_TOL)
+    report.checks.add("five_term_sum", five, verify.FIVE_TERM_TOL)
     if args.svg:
-        _write_file(args.svg, pentagon_svg(pentagon_from_frame(frame)))
+        with _output_file(args.svg) as handle:
+            handle.write(pentagon_svg(pentagon_from_frame(frame)))
     return report
 
 
@@ -304,13 +294,13 @@ def cmd_bridge(args, out) -> RunReport:
             "dn_lattice": lattice.dn,
         },
     )
-    report.checks.append(Check("cn_bridge", abs(lattice.cn - cnw), 1e-9))
-    report.checks.append(Check("dn_bridge", abs(lattice.dn - dnw), 1e-9))
-    if args.omega is not None and k > 0.0:
-        report.checks.append(Check("omega_roundtrip",
-                                   abs(omega_of_k(k) - omega) / max(1.0, omega), 1e-9))
+    report.checks.add("cn_bridge", abs(lattice.cn - cnw), verify.BRIDGE_TOL)
+    report.checks.add("dn_bridge", abs(lattice.dn - dnw), verify.BRIDGE_TOL)
     if args.omega is None:
-        report.checks.append(Check("k_roundtrip", abs(k_spectral - k), 1e-9))
+        report.checks.add("k_roundtrip", abs(k_spectral - k), verify.BRIDGE_TOL)
+    elif k > 0.0:
+        report.checks.add("omega_roundtrip", abs(omega_of_k(k) - omega) / max(1.0, omega),
+                          verify.BRIDGE_TOL)
     return report
 
 
@@ -321,9 +311,9 @@ def cmd_poncelet(args, out) -> RunReport:
         porism = porism_residual(config, n, m, _PORISM_STARTS)
         k, alpha = modulus_of_config(config)
         report = RunReport(outputs={"a": config.a, "k": k, "alpha": alpha})
-        report.checks.append(Check("closure_residual",
-                                   abs(closure_residual(config, n, m)), 1e-12))
-        report.checks.append(Check("porism_closure", porism, 1e-8))
+        report.checks.add("closure_residual", abs(closure_residual(config, n, m)),
+                          verify.CLOSURE_TOL)
+        report.checks.add("porism_closure", porism, verify.PORISM_TOL)
     else:
         config = TwoCircleConfig(R=args.R, r=args.r, a=args.a)
         k, alpha = modulus_of_config(config)
@@ -341,7 +331,8 @@ def cmd_poncelet(args, out) -> RunReport:
     if args.svg or args.csv:
         walk = trajectory(config, args.phi0, args.steps)
         if args.svg:
-            _write_file(args.svg, poncelet_svg(config, walk))
+            with _output_file(args.svg) as handle:
+                handle.write(poncelet_svg(config, walk))
         if args.csv:
             with _output_file(args.csv) as handle:
                 handle.write("i,phi\n")
@@ -352,11 +343,10 @@ def cmd_poncelet(args, out) -> RunReport:
 def cmd_verify_all(args, out) -> RunReport:
     report = RunReport()
     for number, checks in verify.run_all(seed=args.seed).items():
-        checks = _apply_override(
-            [replace(c, name=f"{number:02d}.{c.name}") for c in checks], args.tol)
-        report.checks.extend(checks)
+        for c in checks:
+            report.checks.add(f"{number:02d}.{c.name}", c.residual, c.tol, c.detail)
         report.outputs[f"criterion_{number:02d}"] = (
-            "pass" if all(c.passed for c in checks) else "fail")
+            "pass" if _apply_override(checks, args.tol).passed else "fail")
     return report
 
 
@@ -473,8 +463,7 @@ def main(argv=None, out=None) -> int:
                 args.tol = override
             report = args.func(args, out)
             if report is not None:
-                if args.func is not cmd_verify_all:  # verify-all applies it per criterion
-                    report.checks = _apply_override(report.checks, override)
+                report.checks = _apply_override(report.checks, override)
                 out.write((report_json if args.json else report_text)(args, report) + "\n")
             out.flush()
         except PentagrammaError as exc:
@@ -489,7 +478,7 @@ def main(argv=None, out=None) -> int:
             os.close(devnull)
         print(f"cannot write: {exc}", file=sys.stderr)
         return _EXIT_DOMAIN
-    return 0 if report is None or report.passed else _EXIT_CHECK_FAIL
+    return 0 if report is None or report.checks.passed else _EXIT_CHECK_FAIL
 
 
 def console_entry() -> None:

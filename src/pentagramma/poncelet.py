@@ -269,7 +269,7 @@ def search_closing_config(n: int, m: int, R: float, r: float) -> TwoCircleConfig
     def res(s: float) -> float:
         return closure_residual(TwoCircleConfig(R=1.0, r=t, a=s), n, m)
 
-    lo, hi = res(0.0), res(upper)
+    lo, hi = closure_residual(concentric, n, m), res(upper)
     if math.copysign(1.0, lo) == math.copysign(1.0, hi):
         # at r = R cos(pi m/n) the regular star closes at a = 0, where F(pi, 0)
         # = pi, but its residual can round to a fraction of an ulp of pi below 0

@@ -1,7 +1,7 @@
 """The acceptance battery: every release criterion as a named residual check.
 
-Each criterion function returns a list of Check records; a check passes when
-its residual is at or below its tolerance.  All randomness flows from one
+Each criterion function adds its Check records to a Checks list; a check passes
+when its residual is at or below its tolerance.  All randomness flows from one
 seed so a fixed seed reproduces the report byte for byte.  The independent
 second routes the checks compare against come from pentagramma.oracles.
 """
@@ -16,9 +16,15 @@ from .cone_spectrum import GOLDEN
 from .errors import NoSolutionError
 
 PI = math.pi
+_SAMPLES_PER_K = 20  # u draws per modulus of the (k, u) sweep
 
-# u draws per modulus of the (k, u) sweep
-_SAMPLES_PER_K = 20
+# the tolerances of the identities that the CLI's reports also check, on one input
+LAW_TOL = 1e-10            # 1 + alpha_i = alpha_{i+2} alpha_{i+3} on a frame
+FIVE_TERM_TOL = 1e-10      # the dilogarithm's five-term sum on a frame's betas
+BRIDGE_TOL = 1e-9          # cn, dn(2K/5) against the root ratios; k and omega round trips
+ROOT_PRODUCTS_TOL = 1e-10  # SpectralTriple.product_residuals
+CLOSURE_TOL = 1e-12        # F(alpha, k) - (m/n) 2K(k)
+PORISM_TOL = 1e-8          # n chords from several starts back at their start
 
 
 @dataclass
@@ -33,12 +39,18 @@ class Check:
         return self.residual <= self.tol
 
 
-class _Collector(list):
+class Checks(list):
+    """Check records in the order they are added: a criterion's, or a CLI report's."""
+
     def add(self, name: str, residual: float, tol: float, detail: str = "") -> None:
         self.append(Check(name=name, residual=float(residual), tol=tol, detail=detail))
 
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self)
 
-def criterion_1(col: _Collector, rng) -> None:
+
+def criterion_1(col: Checks, rng) -> None:
     """The (9, 2/3, 2, 5, 1/3) example: exact cycle, omega, triple invariant."""
     cycle = pentagram_algebra.complete_from_two(9.0, 2.0)
     target = (9.0, 2.0 / 3.0, 2.0, 5.0, 1.0 / 3.0)
@@ -50,16 +62,16 @@ def criterion_1(col: _Collector, rng) -> None:
     col.add("example.invariant_sqrt", abs(augmented - 20.0), 1e-12)
 
 
-def criterion_2(col: _Collector, rng) -> None:
+def criterion_2(col: Checks, rng) -> None:
     """Spectral roots at omega = 20 and the root-product identities."""
     s = cone_spectrum.solve_characteristic(20.0)
     for name, got, want in (("G", s.G, -2.197), ("Gp", s.Gp, 1.069),
                             ("Gpp", s.Gpp, 2.128)):
         col.add(f"roots20.{name}", abs(got - want), 2e-3)
-    col.add("roots20.products", max(abs(r) for r in s.product_residuals()), 1e-10)
+    col.add("roots20.products", max(abs(r) for r in s.product_residuals()), ROOT_PRODUCTS_TOL)
 
 
-def criterion_3(col: _Collector, rng) -> None:
+def criterion_3(col: Checks, rng) -> None:
     """Critical omega, and the cubic's simple root G and double root G' = G'' there."""
     w0 = cone_spectrum.OMEGA_CRITICAL
     col.add("critical.value", abs(w0 - 11.0901699), 1e-7)
@@ -71,7 +83,7 @@ def criterion_3(col: _Collector, rng) -> None:
                                    for t in (s.Gp, s.Gpp)), 1e-9)
 
 
-def criterion_4(col: _Collector, rng) -> None:
+def criterion_4(col: Checks, rng) -> None:
     """Elliptic kernel against itself (identities) and against quadrature."""
     col.add("kernel.K0", abs(elliptic_kernel.complete_K(0.0) - PI / 2), 1e-15)
 
@@ -111,7 +123,7 @@ def criterion_4(col: _Collector, rng) -> None:
     col.add("kernel.quadrature_oracle", worst_oracle, 1e-11)
 
 
-def criterion_5(col: _Collector, rng) -> None:
+def criterion_5(col: Checks, rng) -> None:
     """Pentagon law and five-term sum on each (k, u) grid frame; regular values at k = 0."""
     worst_law = worst_sum = 0.0
     for frame in napier_uniformization.sweep_frames(rng, _SAMPLES_PER_K):
@@ -119,8 +131,8 @@ def criterion_5(col: _Collector, rng) -> None:
         worst_law = max(worst_law, max(abs(r) for r in cycle.relation_residuals()))
         worst_sum = max(worst_sum, abs(dilogarithm.pentagon_five_term(
             napier_uniformization.beta_sequence(frame))))
-    col.add("law.grid", worst_law, 1e-10)
-    col.add("dilog.pentagon_sum", worst_sum, 1e-10)
+    col.add("law.grid", worst_law, LAW_TOL)
+    col.add("dilog.pentagon_sum", worst_sum, FIVE_TERM_TOL)
 
     frame = napier_uniformization.frame_vectors(0.0, float(rng.uniform(0.0, 2.0)))
     a = napier_uniformization.alpha_sequence(frame).alphas
@@ -129,7 +141,7 @@ def criterion_5(col: _Collector, rng) -> None:
         abs(sum(c * c for c in v) - math.sqrt(5.0)) for v in frame.vectors), 1e-12)
 
 
-def criterion_6(col: _Collector, rng) -> None:
+def criterion_6(col: Checks, rng) -> None:
     """The spectral-modulus bridge both ways across the k grid."""
     worst_cn = worst_dn = worst_formula = 0.0
     for k in napier_uniformization.K_GRID[1:]:
@@ -140,9 +152,9 @@ def criterion_6(col: _Collector, rng) -> None:
         worst_cn = max(worst_cn, abs(cn5 - cnw))
         worst_dn = max(worst_dn, abs(dn5 - dnw))
         worst_formula = max(worst_formula, abs(k_spectral - k))
-    col.add("bridge.cn", worst_cn, 1e-9)
-    col.add("bridge.dn", worst_dn, 1e-9)
-    col.add("bridge.k_formula", worst_formula, 1e-9)
+    col.add("bridge.cn", worst_cn, BRIDGE_TOL)
+    col.add("bridge.dn", worst_dn, BRIDGE_TOL)
+    col.add("bridge.k_formula", worst_formula, BRIDGE_TOL)
 
 
 def _projection_cases(rng):
@@ -155,7 +167,7 @@ def _projection_cases(rng):
             yield pentagon, cone_spectrum.solve_characteristic(omega)
 
 
-def criterion_7(col: _Collector, rng) -> None:
+def criterion_7(col: Checks, rng) -> None:
     """Anomaly identities, recovery formulas, confocal relation."""
     worst_theorem = worst_rec = worst_conf = 0.0
     for pentagon, s in _projection_cases(rng):
@@ -174,14 +186,13 @@ def criterion_7(col: _Collector, rng) -> None:
     col.add("projection.confocal", worst_conf, 1e-9)
 
 
-def criterion_8(col: _Collector, rng) -> None:
+def criterion_8(col: Checks, rng) -> None:
     """Poncelet closure: the stated search, its rotation number, the porism, shadowing."""
+    porism, worst, detail = math.inf, math.inf, ""
     try:
         config = poncelet.search_closing_config(5, 2, 1.0, 0.4)
         worst = abs(poncelet.closure_residual(config, 5, 2))
         porism = poncelet.porism_residual(config, 5, 2, rng.uniform(0.0, 2 * PI, size=5))
-        col.add("poncelet.search(5,2,R=1,r=0.4)", porism, 1e-8)
-        col.add("poncelet.search_residual(5,2,R=1,r=0.4)", worst, 1e-12)
     except NoSolutionError as exc:
         # the rotation number falls from its a = 0 value as the centres part
         peak = oracles.rotation_number(1.0, 0.4, 0.0)
@@ -189,18 +200,18 @@ def criterion_8(col: _Collector, rng) -> None:
                   "~0.31 R: the quadrature rotation number peaks at "
                   f"rotation_number(1, 0.4, 0) = {peak:.6f} < 2/5, "
                   "so this stated input has no closing distance")
-        col.add("poncelet.search(5,2,R=1,r=0.4)", math.inf, 1e-8, detail)
-        col.add("poncelet.search_residual(5,2,R=1,r=0.4)", math.inf, 1e-12, detail)
+    col.add("poncelet.search(5,2,R=1,r=0.4)", porism, PORISM_TOL, detail)
+    col.add("poncelet.search_residual(5,2,R=1,r=0.4)", worst, CLOSURE_TOL, detail)
 
     # the same battery on a feasible star shows the machinery is sound
     config = poncelet.search_closing_config(5, 2, 1.0, 0.3)
     col.add("poncelet.search_residual(5,2,R=1,r=0.3)",
-            abs(poncelet.closure_residual(config, 5, 2)), 1e-12)
+            abs(poncelet.closure_residual(config, 5, 2)), CLOSURE_TOL)
     # the quadrature's turns per chord at the searched root: a second route to its answer
     col.add("poncelet.rotation_number(5,2,R=1,r=0.3)",
             abs(oracles.rotation_number(1.0, 0.3, config.a) - 2 / 5), 1e-12)
     col.add("poncelet.porism(5,2,R=1,r=0.3)", poncelet.porism_residual(
-        config, 5, 2, rng.uniform(0.0, 2 * PI, size=5)), 1e-8)
+        config, 5, 2, rng.uniform(0.0, 2 * PI, size=5)), PORISM_TOL)
 
     worst_shadow = 0.0
     for cfg in (poncelet.TwoCircleConfig(1.0, 0.5, 0.2),
@@ -216,7 +227,7 @@ def criterion_8(col: _Collector, rng) -> None:
     col.add("poncelet.shadowing", worst_shadow, 1e-9)
 
 
-def criterion_9(col: _Collector, rng) -> None:
+def criterion_9(col: Checks, rng) -> None:
     """Dilogarithm values and series, and the two functional equations.
 
     dilog.reflection is blind to the series: L(x) and L(1 - x) run it at nearly one
@@ -237,7 +248,7 @@ def criterion_9(col: _Collector, rng) -> None:
     col.add("dilog.spence", worst_spence, 1e-11)
 
 
-def criterion_10(col: _Collector, rng) -> None:
+def criterion_10(col: Checks, rng) -> None:
     """Napier's rules on oracle triangles and on the paper's five triangles of pentagons."""
     worst = max(abs(r) for legs in rng.uniform(0.2, 1.35, size=(100, 2)).tolist()
                 for rule in pentagram_algebra.verify_napier(oracles.right_triangle(*legs)[0])
@@ -271,14 +282,14 @@ CRITERIA = {
 }
 
 
-def run_criterion(number: int, seed: int = 0) -> list[Check]:
+def run_criterion(number: int, seed: int = 0) -> Checks:
     import numpy as np
 
     description, func = CRITERIA[number]
-    col = _Collector()
+    col = Checks()
     func(col, np.random.default_rng(seed + number))
-    return list(col)
+    return col
 
 
-def run_all(seed: int = 0) -> dict[int, list[Check]]:
+def run_all(seed: int = 0) -> dict[int, Checks]:
     return {number: run_criterion(number, seed=seed) for number in sorted(CRITERIA)}

@@ -10,6 +10,7 @@ from pentagramma.cone_spectrum import (GOLDEN, OMEGA_CRITICAL, OMEGA_TOP, ConeQu
                                        solve_characteristic)
 from pentagramma.elliptic_kernel import complete_K, jacobi_triple
 from pentagramma.errors import DegenerateError, DomainError, SubcriticalError
+from pentagramma.napier_uniformization import alpha_sequence, frame_vectors, sweep_frames
 from pentagramma.oracles import characteristic_poly
 from pentagramma.pentagram_algebra import complete_from_two
 
@@ -226,6 +227,19 @@ class TestModulusFromSpectrum:
         assert k == 0.0
         assert cnw == pytest.approx(math.cos(math.pi / 5), abs=1e-15)
         assert dnw == 1.0
+
+    def test_every_regular_frame_is_regular(self):
+        # a k = 0 frame's omega lies a few ulps either side of OMEGA_CRITICAL (-11 to +8
+        # over these 2,000 frames); the near-critical window maps each to k = 0 exactly,
+        # where the split roots would give 863 of them a spectral k up to 4.3e-4
+        frames = [f for seed in range(5) for f in sweep_frames(np.random.default_rng(seed), 200)
+                  if f.k == 0.0]
+        frames += [frame_vectors(0.0, u) for u in np.linspace(0.0, 0.8 * complete_K(0.0), 1000,
+                                                               endpoint=False).tolist()]
+        assert len(frames) == 2000
+        spectral = [modulus_from_spectrum(solve_characteristic(alpha_sequence(f).omega()))[0]
+                    for f in frames]
+        assert spectral == [0.0] * len(frames)
 
     @pytest.mark.parametrize("omega", [12.0, 20.0])
     def test_bridge_consistency(self, omega):
